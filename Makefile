@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check bench bench-smoke bench-dynamic-smoke bench-scale-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
+.PHONY: install test check bench bench-smoke bench-dynamic-smoke bench-scale-smoke perfbench-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -131,6 +131,18 @@ zoo-smoke:
 	$(PYTHON) -m repro verify --suite counting --fuzz 40 --seed 0 \
 		--fixtures-dir .repro-zoo-verify
 	@rm -f .zoo-smoke.out
+
+# Benchmark smoke: perfbench's own check tests (outside the tier-1
+# testpaths), then one short traced fresh-flood run whose last line
+# must report "correct": true -- it fails if an entry point that
+# perfbench/tracer.py wraps is renamed or removed.
+perfbench-smoke:
+	@rm -f .perfbench-smoke.out
+	$(PYTHON) -m pytest -q perfbench/tests
+	$(PYTHON) perfbench/run.py --workload fresh-flood --seed 1 --seconds 2 \
+		--trace 1 | tee .perfbench-smoke.out
+	tail -n 1 .perfbench-smoke.out | grep -q '"correct": true'
+	@rm -f .perfbench-smoke.out
 
 # Experiment-service smoke: validate the example scenarios, start the
 # HTTP service, submit the same scenario twice, and prove the second

@@ -4,41 +4,25 @@ The object engine (:class:`repro.simulation.engine.SynchronousEngine`)
 walks ``networkx`` neighbour lists per process per round -- fine for
 protocol fidelity, but the Python-level loop dominates wall-clock time
 on large sweeps.  The fast backend (:mod:`repro.simulation.fast`)
-instead *lowers* each round's graph once into a compressed-sparse-row
+instead lowers each round's topology into a compressed-sparse-row
 adjacency matrix so the whole receive phase becomes a single sparse
 matvec (or a dense matmul for set-valued states).
 
-This module owns that lowering:
+There is one lowering path: validated ``(u, v)`` edge index arrays in,
+CSR out.  :func:`stack_edges` builds one block-diagonal adjacency for
+all lanes of a round -- one sort-based dedup, one ``bincount`` CSR
+build, one connectivity check -- and :class:`StackCache` memoizes it per
+tuple of lane edge-array identities.  :func:`csr_from_edges` is its
+validated one-lane case; networkx graphs enter through
+:func:`graph_edges` (memoized per graph object by :class:`EdgeCache`).
+:func:`lower_graph` keeps networkx's own sparse export as the verify
+oracle's independent path.  Both caches are LRU-bounded
+(``adjacency.cache_evictions`` / ``adjacency.stack_evictions``).
 
-* :class:`CSRAdjacency` -- an immutable CSR view of one round's graph
-  (degrees, matvec, matmul), validated at construction;
-* :func:`lower_graph` -- ``nx.Graph`` -> :class:`CSRAdjacency` with the
-  engine's model checks (node set ``{0..n-1}``, no self-loops,
-  connectivity);
-* :func:`csr_from_edges` / :func:`graph_from_edges` -- the CSR-native
-  path: build a validated adjacency (or its ``networkx`` oracle view)
-  straight from ``(u, v)`` edge index arrays, with no ``nx.Graph`` on
-  the hot path -- the substrate of
-  :class:`repro.networks.csr_native.CSRDynamicGraph`;
-* :class:`AdjacencyCache` -- memoizes the lowering *per graph object*,
-  so a :class:`~repro.networks.dynamic_graph.DynamicGraph` that serves
-  the same cached graph under ``extend="hold"``/``"cycle"`` is lowered
-  and validated exactly once instead of once per round;
-* :func:`stack_adjacencies` / :class:`StackCache` -- block-diagonal
-  stacking of independent lanes, so a batch of runs (seeds x sizes of a
-  sweep point) executes as one fused matvec per round.
-
-Both caches are *bounded* (LRU): a fresh-graph-per-round workload used
-to retain one lowered graph + CSR matrix per executed round for the
-cache's lifetime; evictions are observable through the
-``adjacency.cache_evictions`` / ``adjacency.stack_evictions`` counters.
-
-Index dtype policy: every adjacency built here routes its CSR index
-arrays through :func:`index_dtype_for` -- ``int32`` while every index
-value (node count *and* stored entry count) fits, ``int64`` otherwise.
-On mega-scale lanes this halves the adjacency index memory; the dedup
-key arithmetic in :func:`csr_from_edges` always runs in ``int64`` so
-the narrower storage dtype can never overflow intermediate products.
+Index dtype policy: every CSR index array is ``index_dtype_for`` its
+largest value -- ``int32`` while node count and entry count fit,
+``int64`` otherwise -- while dedup keys are always ``int64``
+(:func:`edge_keys` refuses stacks whose keys could overflow).
 
 A compiled receive-phase kernel may be installed process-wide with
 :func:`set_matvec_kernel` (see :mod:`repro.simulation.jit`);
@@ -49,7 +33,7 @@ and otherwise falls back to the scipy matvec.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -61,23 +45,30 @@ from repro.simulation.errors import TopologyError
 
 __all__ = [
     "CSRAdjacency",
-    "AdjacencyCache",
-    "StackCache",
+    "EdgeArrays",
+    "EdgeCache",
     "LRUCache",
+    "StackCache",
     "csr_from_edges",
+    "edge_keys",
+    "first_disconnected_lane",
+    "graph_edges",
     "graph_from_edges",
     "index_dtype_for",
     "lower_graph",
     "matvec_kernel",
     "set_matvec_kernel",
-    "stack_adjacencies",
+    "stack_edges",
     "validate_edge_arrays",
 ]
 
-#: Default LRU capacity of :class:`AdjacencyCache`.  Large enough that
+EdgeArrays = tuple[np.ndarray, np.ndarray]
+"""Type alias: a ``(u, v)`` pair of edge index arrays."""
+
+#: Default LRU capacity of :class:`EdgeCache`.  Large enough that
 #: every realistic batch of held/cycled topologies stays fully cached,
 #: small enough that a fresh-graph-per-round run holds O(1) memory.
-DEFAULT_ADJACENCY_CACHE_SIZE = 128
+DEFAULT_EDGE_CACHE_SIZE = 128
 
 #: Default LRU capacity of :class:`StackCache`.  Lane combinations
 #: change at most once per round, so a handful of entries suffice.
@@ -98,21 +89,6 @@ def index_dtype_for(n: int) -> np.dtype:
     ``indptr`` ends at ``nnz``.
     """
     return np.dtype(np.int32 if n < INT32_LIMIT else np.int64)
-
-
-def _with_index_dtype(matrix: sp.csr_array) -> sp.csr_array:
-    """Normalize a CSR matrix's index arrays to the policy dtype."""
-    dtype = index_dtype_for(max(int(matrix.shape[0]), int(matrix.nnz)))
-    if matrix.indices.dtype == dtype and matrix.indptr.dtype == dtype:
-        return matrix
-    return sp.csr_array(
-        (
-            matrix.data,
-            matrix.indices.astype(dtype),
-            matrix.indptr.astype(dtype),
-        ),
-        shape=matrix.shape,
-    )
 
 
 #: Optional compiled receive-phase kernel, installed process-wide by
@@ -138,15 +114,15 @@ class CSRAdjacency:
     """One round's communication graph in CSR form.
 
     Wraps a symmetric ``scipy.sparse`` CSR matrix with unit weights.
-    Instances are produced by :func:`lower_graph` (validated) or
-    :func:`stack_adjacencies` (block-diagonal batch) and treated as
-    immutable.
+    Instances are produced by :func:`stack_edges` (one or more lanes on
+    the block diagonal) or :func:`lower_graph` and treated as immutable.
 
     Attributes:
         n: Number of nodes (the matrix is ``n x n``).
         matrix: The underlying ``scipy.sparse`` CSR array (float64).
-        connected: Whether the graph is connected; ``None`` for stacked
-            batches (a block-diagonal never is, by construction).
+        connected: Whether every lane is connected -- for a one-lane
+            adjacency, whether its graph is; ``None`` when the build
+            did not check.
     """
 
     __slots__ = ("n", "matrix", "connected", "_degrees")
@@ -196,10 +172,6 @@ class CSRAdjacency:
         """``A @ X`` for a dense per-node state matrix ``X``."""
         return self.matrix @ X
 
-    def neighbor_any(self, mask: np.ndarray) -> np.ndarray:
-        """Boolean per node: does any neighbour have ``mask`` set?"""
-        return (self.matrix @ mask.astype(np.float64)) > 0.0
-
     def __repr__(self) -> str:
         return (
             f"CSRAdjacency(n={self.n}, edges={self.edges}, "
@@ -207,22 +179,11 @@ class CSRAdjacency:
         )
 
 
-def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
-    """Lower one ``nx.Graph`` to a validated :class:`CSRAdjacency`.
+def _check_graph(graph: nx.Graph, n: int | None) -> int:
+    """The engine's model checks on an ``nx.Graph``; returns its ``n``.
 
-    Performs the engine's model checks once, at lowering time:
-
-    * the node set must be exactly ``{0, ..., n-1}``,
-    * self-loops are rejected (a process is never its own neighbour),
-    * connectivity is computed and recorded (callers enforce the
-      1-interval connectivity assumption against ``.connected``).
-
-    Args:
-        graph: The round's communication graph.
-        n: Expected node count; defaults to ``graph.number_of_nodes()``.
-
-    Raises:
-        TopologyError: Node set mismatch or self-loop.
+    The node set must be exactly ``{0, ..., n-1}`` and no edge may be a
+    self-loop (a process is never its own neighbour).
     """
     expected = graph.number_of_nodes() if n is None else n
     if graph.number_of_nodes() != expected or set(graph.nodes) != set(
@@ -238,22 +199,53 @@ def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
             f"self-loop at node(s) {sorted(loops)[:10]}; a process is "
             "never its own neighbour"
         )
-    matrix = _with_index_dtype(
-        nx.to_scipy_sparse_array(
-            graph, nodelist=range(expected), dtype=np.float64, format="csr"
-        )
+    return expected
+
+
+def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
+    """Lower one ``nx.Graph`` to a validated :class:`CSRAdjacency`.
+
+    The independent oracle path: ``networkx``'s own sparse export, not
+    the edge-array build the engines use.  Performs the engine's model
+    checks once, at lowering time:
+
+    * the node set must be exactly ``{0, ..., n-1}``,
+    * self-loops are rejected (a process is never its own neighbour),
+    * connectivity is computed and recorded (callers enforce the
+      1-interval connectivity assumption against ``.connected``).
+
+    Args:
+        graph: The round's communication graph.
+        n: Expected node count; defaults to ``graph.number_of_nodes()``.
+
+    Raises:
+        TopologyError: Node set mismatch or self-loop.
+    """
+    expected = _check_graph(graph, n)
+    matrix = nx.to_scipy_sparse_array(
+        graph, nodelist=range(expected), dtype=np.float64, format="csr"
     )
-    if expected <= 1:
-        connected = True
-    else:
-        connected = (
-            connected_components(
-                matrix, directed=False, return_labels=False
-            )
-            == 1
-        )
+    dtype = index_dtype_for(max(expected, matrix.nnz))
+    matrix.indices = matrix.indices.astype(dtype, copy=False)
+    matrix.indptr = matrix.indptr.astype(dtype, copy=False)
+    connected = expected <= 1 or (
+        connected_components(matrix, directed=False, return_labels=False) == 1
+    )
     counter("adjacency.builds")
     return CSRAdjacency(matrix, connected=bool(connected))
+
+
+def graph_edges(graph: nx.Graph, *, n: int | None = None) -> EdgeArrays:
+    """The validated ``(u, v)`` edge arrays of an ``nx.Graph``.
+
+    Runs :func:`lower_graph`'s node-set and self-loop checks, then hands
+    the graph's edges to the one edge-array lowering path.  Edge data
+    (weights) is ignored: every adjacency has unit weights.
+    """
+    expected = _check_graph(graph, n)
+    pairs = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    counter("adjacency.builds")
+    return validate_edge_arrays(expected, pairs[:, 0], pairs[:, 1])
 
 
 def validate_edge_arrays(
@@ -297,51 +289,118 @@ def validate_edge_arrays(
     return u.astype(dtype, copy=False), v.astype(dtype, copy=False)
 
 
+def edge_keys(total: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rows * total + cols`` as ``int64`` pair keys.
+
+    Sorting the keys sorts the entries by row, then column: CSR order.
+
+    Raises:
+        ValueError: ``total**2`` does not fit ``int64``, so a key could
+            wrap silently.
+    """
+    if total * total >= 2**63:
+        raise ValueError(
+            f"a stack of {total} nodes overflows the int64 pair keys "
+            "(total**2 >= 2**63); lower the lane budget (max_lane_nodes)"
+        )
+    return rows.astype(np.int64, copy=False) * total + cols
+
+
+def stack_edges(
+    sizes: Sequence[int],
+    edges: Sequence[EdgeArrays],
+    *,
+    check_connected: bool = True,
+) -> CSRAdjacency:
+    """One CSR adjacency for independent lanes, on the block diagonal.
+
+    Lane ``i``'s validated ``(u, v)`` arrays are offset by the sizes of
+    the lanes before it, so one matvec on the result is exactly the
+    per-lane matvecs fused.  Edges are undirected; duplicates in either
+    orientation collapse to one edge, matching ``nx.Graph`` semantics.
+    With ``check_connected`` one ``connected_components`` call records
+    in ``.connected`` whether every lane is connected: the matrix is
+    block-diagonal, so its component count equals the number of
+    (non-empty) lanes exactly then.  Otherwise ``.connected`` is None.
+    """
+    if not sizes or len(sizes) != len(edges):
+        raise ValueError(
+            f"need one edge-array pair per lane, got {len(edges)} for "
+            f"{len(sizes)} lane(s)"
+        )
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    total = int(offsets[-1])
+    # Both orientations of every edge, shifted onto the stacked node
+    # axis (int64 offsets, so the sums never wrap the int32 inputs).
+    shifted = [(u + start, v + start) for (u, v), start in zip(edges, offsets)]
+    keys = edge_keys(
+        total,
+        np.concatenate([u for u, _ in shifted] + [v for _, v in shifted]),
+        np.concatenate([v for _, v in shifted] + [u for u, _ in shifted]),
+    )
+    keys.sort()
+    if keys.size > 1:
+        fresh = keys[1:] != keys[:-1]
+        if not fresh.all():
+            keys = keys[np.concatenate(([True], fresh))]
+    dtype = index_dtype_for(max(total, keys.size))
+    rows = keys // total
+    indptr = np.zeros(total + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    indices = (keys - rows * total).astype(dtype)
+    matrix = sp.csr_array(
+        (np.ones(keys.size, dtype=np.float64), indices, indptr),
+        shape=(total, total),
+    )
+    connected = None
+    if check_connected:
+        lanes = int(np.count_nonzero(sizes))
+        # The matrix is symmetric, so strong components are the
+        # undirected ones -- without the transpose directed=False builds.
+        connected = total <= 1 or (
+            connected_components(
+                matrix, directed=True, connection="strong", return_labels=False
+            )
+            == lanes
+        )
+    counter("adjacency.native_builds", len(sizes))
+    return CSRAdjacency(matrix, connected=connected)
+
+
+def first_disconnected_lane(
+    adjacency: CSRAdjacency, sizes: Sequence[int]
+) -> int | None:
+    """The first lane whose nodes carry more than one component label.
+
+    The failure path of :func:`stack_edges`' connectivity check, so the
+    labels are computed only once a stack is known to be disconnected.
+    """
+    _, labels = connected_components(
+        adjacency.matrix, directed=True, connection="strong"
+    )
+    start = 0
+    for lane, size in enumerate(sizes):
+        block = labels[start : start + size]
+        if block.size and (block != block[0]).any():
+            return lane
+        start += size
+    return None
+
+
 def csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> CSRAdjacency:
-    """Build a validated :class:`CSRAdjacency` straight from edge arrays.
+    """The validated one-lane case of :func:`stack_edges`.
 
-    The CSR-native fast path: no ``nx.Graph`` is constructed.  Edges
-    are undirected; duplicates (in either orientation) collapse to one
-    edge, matching ``nx.Graph`` semantics, so generators may emit a
-    mandatory backbone plus independently sampled extras without
+    Duplicate edges (in either orientation) collapse, so generators may
+    emit a mandatory backbone plus independently sampled extras without
     deduplicating first.
-
-    Args:
-        n: Number of nodes (the matrix is ``n x n``).
-        u: Edge source indices (any integer array).
-        v: Edge target indices, same length as ``u``.
 
     Raises:
         TopologyError: Endpoint out of range or self-loop.
     """
-    u, v = validate_edge_arrays(n, u, v)
-    # Canonicalize to (min, max) pairs, dedupe via the scalar pair key.
-    # Key arithmetic stays in int64 regardless of the storage dtype:
-    # ``a * n + b`` reaches ~n^2, which overflows int32 from n ~ 46341.
-    a = np.minimum(u, v).astype(np.int64, copy=False)
-    b = np.maximum(u, v).astype(np.int64, copy=False)
-    keys = np.unique(a * np.int64(n) + b)
-    a = keys // n
-    b = keys % n
-    dtype = index_dtype_for(n)
-    rows = np.concatenate([a, b]).astype(dtype, copy=False)
-    cols = np.concatenate([b, a]).astype(dtype, copy=False)
-    matrix = _with_index_dtype(
-        sp.csr_array(
-            (np.ones(rows.size, dtype=np.float64), (rows, cols)),
-            shape=(n, n),
-        )
-    )
-    if n <= 1:
-        connected = True
-    else:
-        connected = (
-            connected_components(matrix, directed=False, return_labels=False)
-            == 1
-        )
+    adjacency = stack_edges([n], [validate_edge_arrays(n, u, v)])
     counter("adjacency.builds")
-    counter("adjacency.native_builds")
-    return CSRAdjacency(matrix, connected=bool(connected))
+    return adjacency
 
 
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
@@ -362,7 +421,7 @@ def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
 class LRUCache:
     """A small bounded mapping with LRU eviction and an eviction counter.
 
-    The shared bounding mechanism of :class:`AdjacencyCache`,
+    The shared bounding mechanism of :class:`EdgeCache`,
     :class:`StackCache`, and the per-round caches of
     :class:`repro.networks.csr_native.CSRDynamicGraph`.  Every eviction
     increments ``evict_metric`` so unbounded-growth regressions are
@@ -396,29 +455,19 @@ class LRUCache:
         self._data.clear()
 
 
-class AdjacencyCache:
-    """Memoize :func:`lower_graph` per graph *object*, LRU-bounded.
+class EdgeCache:
+    """Memoize :func:`graph_edges` per graph *object*, LRU-bounded.
 
-    Keys are object identities; each live entry holds a strong reference
-    to its lowered graph, so an id can never be reused while its entry
-    is still in the cache (the id-stability contract).  Once an entry is
-    *evicted* its graph may be collected and its id reused -- which is
-    safe: the entry is gone, so a reused id is a plain miss and the new
-    graph is lowered afresh (the ``cached[0] is graph`` guard keeps
-    same-slot overwrites honest).
-
-    A provider that serves the same cached graph for many rounds
-    (``extend="hold"``, ``"cycle"``, any static topology) pays for
-    validation and lowering exactly once; a fresh-graph-per-round run
-    now holds at most ``maxsize`` lowered rounds instead of all of them
-    (evictions are counted in ``adjacency.cache_evictions``).
-
-    Mutating a graph after it has been lowered is unsupported (the
-    memoized adjacency would go stale) -- the same contract the object
-    engine's per-round validation memo has.
+    Keys are object identities; each live entry holds its graph, so an
+    id cannot be reused while its entry lives, and the ``cached[0] is
+    graph`` guard makes a reused id after eviction a plain miss.  A
+    graph served for many rounds (``extend="hold"``/``"cycle"``, static
+    topologies) is validated once and yields the same tuple every round,
+    so its stacked adjacency is a :class:`StackCache` hit too.  Mutating
+    a graph after it has been seen is unsupported.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_ADJACENCY_CACHE_SIZE) -> None:
+    def __init__(self, maxsize: int = DEFAULT_EDGE_CACHE_SIZE) -> None:
         self._lru = LRUCache(maxsize, "adjacency.cache_evictions")
 
     def __len__(self) -> int:
@@ -428,48 +477,35 @@ class AdjacencyCache:
         """Drop every entry (per-run scoping for long-lived caches)."""
         self._lru.clear()
 
-    def lower(self, graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
-        """The memoized CSR adjacency of ``graph``."""
+    def edges(self, graph: nx.Graph, *, n: int | None = None) -> EdgeArrays:
+        """The memoized validated edge arrays of ``graph``."""
         cached = self._lru.get(id(graph))
         if cached is not None and cached[0] is graph:
             counter("adjacency.cache_hits")
             return cached[1]
-        adjacency = lower_graph(graph, n=n)
-        self._lru.put(id(graph), (graph, adjacency))
-        return adjacency
-
-
-def stack_adjacencies(parts: Sequence[CSRAdjacency]) -> CSRAdjacency:
-    """Block-diagonally stack independent lanes into one adjacency.
-
-    The stacked matrix never mixes nodes across lanes, so one matvec on
-    it is exactly the per-lane matvecs fused -- the batched execution
-    primitive of the fast backend.
-    """
-    if not parts:
-        raise ValueError("need at least one adjacency to stack")
-    if len(parts) == 1:
-        return parts[0]
-    matrix = sp.block_diag([part.matrix for part in parts], format="csr")
-    counter("adjacency.stack_builds")
-    return CSRAdjacency(
-        _with_index_dtype(sp.csr_array(matrix)), connected=None
-    )
+        edges = graph_edges(graph, n=n)
+        self._lru.put(id(graph), (graph, edges))
+        return edges
 
 
 class StackCache:
-    """Memoize :func:`stack_adjacencies` per tuple of part identities,
-    LRU-bounded.
+    """Memoize :func:`stack_edges` per lane sizes and edge-array tuple
+    identities, LRU-bounded.
 
-    On static or ``hold``-extended dynamics every round stacks the same
-    per-lane adjacencies, so the fused matrix is built once per distinct
-    combination instead of once per round; on dynamic workloads where
-    lane identities change every round, old ``(parts, stacked)`` tuples
-    are evicted instead of retained forever (counted in
-    ``adjacency.stack_evictions``).
+    On static, ``hold`` or ``cycle`` dynamics the lanes' edge sources
+    return the same cached ``(u, v)`` tuples, so each distinct stack is
+    built and connectivity-checked once; fresh-graph-per-round entries
+    are evicted (``adjacency.stack_evictions``).  Entries hold their
+    edge tuples, so an id in a live key is never reused by another.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_STACK_CACHE_SIZE) -> None:
+    def __init__(
+        self,
+        *,
+        check_connected: bool = True,
+        maxsize: int = DEFAULT_STACK_CACHE_SIZE,
+    ) -> None:
+        self.check_connected = check_connected
         self._lru = LRUCache(maxsize, "adjacency.stack_evictions")
 
     def __len__(self) -> int:
@@ -479,22 +515,20 @@ class StackCache:
         """Drop every entry (per-run scoping for long-lived caches)."""
         self._lru.clear()
 
-    def stack(self, parts: Iterable[CSRAdjacency]) -> CSRAdjacency:
-        parts = tuple(parts)
-        key = tuple(id(part) for part in parts)
+    def stack(
+        self, sizes: tuple[int, ...], edges: Sequence[EdgeArrays]
+    ) -> CSRAdjacency:
+        """The stacked adjacency of ``edges`` over lanes of ``sizes``."""
+        key = (sizes, tuple(map(id, edges)))
         cached = self._lru.get(key)
         if cached is not None:
             kept, stacked = cached
-            # A hit's key is an id-tuple equal to ours, so the lengths
-            # must match by construction; a changed-length lane list can
-            # therefore never masquerade as an id-reuse collision.
-            assert len(kept) == len(parts), (
-                f"stack cache key of length {len(parts)} hit an entry "
-                f"with {len(kept)} parts"
-            )
-            if all(a is b for a, b in zip(kept, parts)):
+            if all(a is b for a, b in zip(kept, edges)):
                 counter("adjacency.stack_hits")
                 return stacked
-        stacked = stack_adjacencies(parts)
-        self._lru.put(key, (parts, stacked))
+        stacked = stack_edges(
+            sizes, edges, check_connected=self.check_connected
+        )
+        counter("adjacency.stack_builds")
+        self._lru.put(key, (tuple(edges), stacked))
         return stacked

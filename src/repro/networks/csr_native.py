@@ -1,36 +1,19 @@
 """CSR-native dynamic topologies: edge arrays first, objects at the edges.
 
-The fast backend used to pay a networkx -> CSR *lowering tax* on every
-round of a dynamic workload: generators built an ``nx.Graph`` per round
-and :func:`repro.networks.csr.lower_graph` immediately tore it apart
-again.  On fresh-graph-per-round workloads that tax ate the entire
-vectorized-engine win (``BENCH_engine.json`` showed ~0.5-1.0x where
-static graphs reach 5-50x).
+A dynamic topology here is a function ``round -> (u, v)`` *edge index
+arrays*, and every view is derived from those arrays: the fast backend
+stacks all lanes' arrays into one CSR adjacency per round
+(:class:`repro.networks.csr.StackCache`), :meth:`CSRDynamicGraph.to_csr`
+is the one-lane case, and the ``networkx`` view
+(:func:`repro.networks.csr.graph_from_edges`) feeds the object engine
+and the oracles.  The views share inputs but not code paths, so
+``object == fast`` differential testing keeps its teeth.
 
-This module inverts the representation, following the matrix-first
-design of connectivity models in network simulators: a dynamic topology
-is a function ``round -> (u, v)`` *edge index arrays*, and both views
-are derived from those arrays --
-
-* the CSR adjacency (:func:`repro.networks.csr.csr_from_edges`) feeds
-  the fast backend directly, no ``nx.Graph`` per round;
-* the ``networkx`` view (:func:`repro.networks.csr.graph_from_edges`)
-  feeds the object engine and the verification oracles.
-
-Because the two views are built from identical arrays through
-independent code paths, ``object == fast`` differential testing keeps
-its teeth, and :mod:`repro.verify` checks the equivalence as a model
-oracle (CSR-native lowering == networkx adjacency, every family).
-
-Pieces:
-
-* :class:`CSRDynamicGraph` -- a :class:`~repro.networks.DynamicGraph`
-  built from an edge provider; ``to_csr`` never touches networkx, and
-  its per-round caches are LRU-bounded so fresh-graph-per-round runs
-  hold O(1) adjacency memory.
-* :func:`precompile_schedule` -- lower a finite schedule prefix (e.g. a
-  worst-case adversary instance) once into stacked per-round index
-  arrays; every subsequent ``to_csr`` is an O(1) lookup.
+:class:`CSRDynamicGraph` returns the same validated tuple for a round
+while it stays cached -- which lets the stack cache serve held and
+cycled rounds -- in LRU-bounded caches; :func:`precompile_schedule`
+validates a finite schedule prefix once into one stacked pair of
+per-round index arrays.
 
 Edge providers must be *pure per round* (the same round always yields
 the same edges), the convention every built-in family already follows;
@@ -47,6 +30,7 @@ import numpy as np
 
 from repro.networks.csr import (
     CSRAdjacency,
+    EdgeArrays,
     LRUCache,
     csr_from_edges,
     graph_from_edges,
@@ -64,10 +48,7 @@ __all__ = [
     "precompile_schedule",
 ]
 
-EdgeArrays = tuple[np.ndarray, np.ndarray]
-"""Type alias: a ``(u, v)`` pair of edge index arrays."""
-
-EdgeProvider = Callable[[int], tuple[np.ndarray, np.ndarray]]
+EdgeProvider = Callable[[int], EdgeArrays]
 """An edge-array provider: ``round_no -> (u, v)`` index arrays."""
 
 #: Default LRU capacity of the per-round edge/CSR caches.  Must cover
@@ -82,8 +63,8 @@ class CSRDynamicGraph(DynamicGraph):
 
     Drop-in :class:`~repro.networks.DynamicGraph`: the object engine
     uses the ``graph``/``at`` view (networkx graphs built lazily from
-    the arrays), the fast backend uses ``to_csr`` (validated CSR built
-    directly from the arrays, no ``nx.Graph`` on the hot path).
+    the arrays), the fast backend stacks the ``edges`` arrays directly
+    (no ``nx.Graph`` on the hot path).
 
     Args:
         n: Number of nodes; every edge endpoint must lie in ``{0..n-1}``.
@@ -110,9 +91,13 @@ class CSRDynamicGraph(DynamicGraph):
         round_key: Callable[[int], int] | None = None,
         cache_rounds: int = DEFAULT_ROUND_CACHE_SIZE,
     ) -> None:
-        super().__init__(
-            n, self._nx_provider, name=name, copy_on_cache=False
-        )
+        def nx_provider(round_no: int) -> nx.Graph:
+            # No reference to ``self``: a bound method here would make a
+            # reference cycle holding every cached round until cyclic GC.
+            key = round_no if round_key is None else round_key(round_no)
+            return graph_from_edges(n, *edge_provider(key))
+
+        super().__init__(n, nx_provider, name=name, copy_on_cache=False)
         self._edge_provider = edge_provider
         self._round_key = round_key
         self._edge_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
@@ -138,8 +123,12 @@ class CSRDynamicGraph(DynamicGraph):
 
     # -- the edge-array view ------------------------------------------
 
-    def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
-        """The round's validated ``(u, v)`` edge arrays (cached, LRU)."""
+    def edges(self, round_no: int) -> EdgeArrays:
+        """The round's validated ``(u, v)`` edge arrays (cached, LRU).
+
+        Rounds that canonicalise to one key return the same tuple
+        object while it stays cached.
+        """
         key = self._key(round_no)
         cached = self._edge_lru.get(key)
         if cached is None:
@@ -151,12 +140,12 @@ class CSRDynamicGraph(DynamicGraph):
     # -- the CSR view (fast backend) ----------------------------------
 
     def to_csr(self, round_no: int) -> CSRAdjacency:
-        """The round's CSR adjacency, built directly from edge arrays.
+        """The round's one-lane CSR adjacency, built from edge arrays.
 
         Never constructs an ``nx.Graph``; validation (index range,
-        self-loops, connectivity) runs on the arrays.  Memoized per
-        canonical round in a bounded LRU, so held/cycled rounds lower
-        once while fresh-per-round runs stay O(1) in memory.
+        self-loops) runs on the arrays and connectivity is recorded.
+        Memoized per canonical round in a bounded LRU.  The fast engine
+        does not call this: it stacks :meth:`edges` of all its lanes.
         """
         key = self._key(round_no)
         cached = self._csr_lru.get(key)
@@ -169,10 +158,6 @@ class CSRDynamicGraph(DynamicGraph):
         return cached
 
     # -- the networkx view (object engine, oracles) -------------------
-
-    def _nx_provider(self, round_no: int) -> nx.Graph:
-        u, v = self.edges(round_no)
-        return graph_from_edges(self.n, u, v)
 
     def at(self, round_no: int) -> nx.Graph:
         """The round's graph as ``networkx`` (cached per canonical round).
@@ -189,7 +174,7 @@ class CSRDynamicGraph(DynamicGraph):
         key = self._key(round_no)
         cached = self._nx_lru.get(key)
         if cached is None:
-            cached = self._nx_provider(round_no)
+            cached = graph_from_edges(self.n, *self.edges(round_no))
             self._nx_lru.put(key, cached)
         return cached
 
@@ -205,15 +190,16 @@ def precompile_schedule(
 
     For schedule-driven instances -- above all the worst-case adversary,
     whose entire point is a fixed finite schedule realising the
-    ``Omega(log n)`` bound -- the prefix is lowered *once*, eagerly, into
-    one pair of stacked ``(u, v)`` arrays plus per-round offsets; every
-    later ``to_csr`` call is an O(1) lookup, every later ``at`` call
-    reuses one graph object per prefix round.
+    ``Omega(log n)`` bound -- the prefix is read and validated *once*,
+    eagerly, into one pair of stacked ``(u, v)`` arrays plus per-round
+    offsets; every later round is an O(1) slice whose tuple stays cached
+    (the compiled graph's caches cover the whole prefix), so the fast
+    engine's stack cache serves every repeated round.
 
     Args:
-        source: The dynamic graph to compile.  Its first ``rounds``
-            rounds are read through ``edges()`` when available (CSR
-            native sources) and through ``at()`` otherwise.
+        source: The dynamic graph to compile: anything with ``n``,
+            ``name`` and ``edges(round_no)`` (every
+            :class:`~repro.networks.DynamicGraph` has them).
         rounds: Prefix length to compile (must be >= 1).
         extend: What happens past the prefix: ``"hold"`` repeats the
             last compiled round, ``"cycle"`` wraps to round 0,
@@ -224,23 +210,20 @@ def precompile_schedule(
     Returns:
         A :class:`CSRDynamicGraph` over the same node set, serving the
         compiled prefix under the chosen extension rule.
+
+    Raises:
+        TopologyError: A prefix round has an out-of-range endpoint or a
+            self-loop (or, for networkx sources, a wrong node set).
     """
     if rounds < 1:
         raise ValueError("need at least one round to precompile")
     if extend not in ("hold", "cycle", "strict"):
         raise ValueError("extend must be one of ('hold', 'cycle', 'strict')")
     n = source.n
-    per_round: list[tuple[np.ndarray, np.ndarray]] = []
-    native_edges = getattr(source, "edges", None)
-    for round_no in range(rounds):
-        if native_edges is not None:
-            u, v = native_edges(round_no)
-        else:
-            pairs = np.array(
-                source.at(round_no).edges, dtype=np.int64
-            ).reshape(-1, 2)
-            u, v = pairs[:, 0], pairs[:, 1]
-        per_round.append(validate_edge_arrays(n, u, v))
+    per_round = [
+        validate_edge_arrays(n, *source.edges(round_no))
+        for round_no in range(rounds)
+    ]
 
     # One stacked edge store: contiguous (u, v) arrays sliced per round,
     # held in the policy index dtype (int32 until n reaches 2**31, with
@@ -250,19 +233,11 @@ def precompile_schedule(
     )
     offsets = offsets.astype(index_dtype_for(int(offsets[-1])))
     edge_dtype = index_dtype_for(n)
-    u_all = (
-        np.concatenate([u for u, _ in per_round]).astype(
-            edge_dtype, copy=False
-        )
-        if offsets[-1]
-        else np.empty(0, dtype=edge_dtype)
+    u_all = np.concatenate([u for u, _ in per_round]).astype(
+        edge_dtype, copy=False
     )
-    v_all = (
-        np.concatenate([v for _, v in per_round]).astype(
-            edge_dtype, copy=False
-        )
-        if offsets[-1]
-        else np.empty(0, dtype=edge_dtype)
+    v_all = np.concatenate([v for _, v in per_round]).astype(
+        edge_dtype, copy=False
     )
 
     def round_key(round_no: int) -> int:
@@ -277,20 +252,15 @@ def precompile_schedule(
             "are precompiled (extend='strict')"
         )
 
-    def provider(key: int) -> tuple[np.ndarray, np.ndarray]:
+    def provider(key: int) -> EdgeArrays:
         lo, hi = int(offsets[key]), int(offsets[key + 1])
         return u_all[lo:hi], v_all[lo:hi]
 
-    compiled = CSRDynamicGraph(
+    counter("adjacency.precompiled_schedules")
+    return CSRDynamicGraph(
         n,
         provider,
         name=name if name is not None else f"{source.name}:precompiled",
         round_key=round_key,
         cache_rounds=max(rounds, DEFAULT_ROUND_CACHE_SIZE),
     )
-    # Eager lowering: the whole prefix is validated and CSR-built here,
-    # so the simulation loop never pays construction or validation.
-    for round_no in range(rounds):
-        compiled.to_csr(round_no)
-    counter("adjacency.precompiled_schedules")
-    return compiled

@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 
 import networkx as nx
 
-from repro.networks.csr import AdjacencyCache, CSRAdjacency
+from repro.networks.csr import CSRAdjacency, EdgeArrays, EdgeCache, StackCache
 from repro.simulation.errors import ModelError, TopologyError
 
 __all__ = ["DynamicGraph"]
@@ -40,8 +40,8 @@ class DynamicGraph:
             mutates it) must not silently corrupt the cached round.
             :meth:`from_graphs` disables it -- the prefix is already a
             private snapshot, and reusing the *same* object across
-            rounds is what lets ``to_csr`` memoize lowering for
-            ``extend="hold"``/``"cycle"`` by object identity.
+            rounds is what lets ``edges``/``to_csr`` memoize lowering
+            for ``extend="hold"``/``"cycle"`` by object identity.
 
     The per-round graphs are cached, so a stochastic ``provider`` is
     sampled once per round and every later inspection (property checks,
@@ -63,7 +63,8 @@ class DynamicGraph:
         self._provider = provider
         self._copy_on_cache = copy_on_cache
         self._cache: dict[int, nx.Graph] = {}
-        self._adjacency = AdjacencyCache()
+        self._edges = EdgeCache()
+        self._csr = StackCache()
 
     @classmethod
     def from_graphs(
@@ -146,16 +147,23 @@ class DynamicGraph:
         """Topology-provider interface for the simulation engine."""
         return self.at(round_no)
 
-    def to_csr(self, round_no: int) -> CSRAdjacency:
-        """The round's graph lowered to CSR adjacency (fast backend).
+    def edges(self, round_no: int) -> EdgeArrays:
+        """The round's validated ``(u, v)`` edge arrays (fast backend).
 
-        Lowering runs the model checks (node set, self-loops,
-        connectivity) and is memoized per cached graph object: a
-        provider that serves the same graph for many rounds (static
-        topologies, ``extend="hold"``/``"cycle"``) is validated and
-        lowered once, not once per round.
+        Runs the model checks (node set, self-loops) and is memoized per
+        cached graph object: a provider that serves the same graph for
+        many rounds (static topologies, ``extend="hold"``/``"cycle"``)
+        is validated once and yields the same tuple every round.
         """
-        return self._adjacency.lower(self.at(round_no), n=self.n)
+        return self._edges.edges(self.at(round_no), n=self.n)
+
+    def to_csr(self, round_no: int) -> CSRAdjacency:
+        """The round's one-lane CSR adjacency, connectivity recorded.
+
+        Built from :meth:`edges` and memoized per edge-array tuple, so a
+        held or cycled graph is lowered once, not once per round.
+        """
+        return self._csr.stack((self.n,), (self.edges(round_no),))
 
     def window(self, rounds: int) -> list[nx.Graph]:
         """Return the graphs of rounds ``0..rounds-1``."""

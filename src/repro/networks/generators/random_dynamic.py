@@ -17,10 +17,12 @@ tree-building loop plus a networkx -> CSR lowering.
 
 from __future__ import annotations
 
+from functools import partial
+
 import networkx as nx
 import numpy as np
 
-from repro.networks.csr import CSRAdjacency, graph_from_edges
+from repro.networks.csr import graph_from_edges
 from repro.networks.csr_native import CSRDynamicGraph
 
 __all__ = [
@@ -120,12 +122,21 @@ def random_connected_graph(
     )
 
 
+def _round_edges(
+    n: int, seed: int, extra_edge_p: float, round_no: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Round ``round_no`` of the ``(n, seed, extra_edge_p)`` adversary."""
+    rng = np.random.default_rng([seed, round_no])
+    return random_connected_edges(n, rng, extra_edge_p=extra_edge_p)
+
+
 class RandomConnectedAdversary:
     """A fair adversary producing a fresh random connected graph per round.
 
-    Usable as an engine topology provider (``graph``), as a CSR-native
-    fast-backend provider (``edges``/``to_csr``), and as a
-    :class:`repro.networks.DynamicGraph` factory (:meth:`as_dynamic_graph`).
+    Usable as an engine topology provider (``graph``), as a pure edge
+    sampler (``edges``), and as a CSR-native
+    :class:`repro.networks.DynamicGraph` (:meth:`as_dynamic_graph`, which
+    is what the fast backend runs on).
     Rounds are keyed by ``(seed, round)`` so executions are reproducible
     and both backends see the identical graph sequence.
     """
@@ -142,30 +153,26 @@ class RandomConnectedAdversary:
 
     def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's edge arrays (pure function of ``(seed, round)``)."""
-        rng = np.random.default_rng([self.seed, round_no])
-        return random_connected_edges(
-            self.n, rng, extra_edge_p=self.extra_edge_p
-        )
+        return _round_edges(self.n, self.seed, self.extra_edge_p, round_no)
 
     def graph(self, round_no: int, processes: object = None) -> nx.Graph:
         """Topology-provider interface: the round's random graph."""
         return graph_from_edges(self.n, *self.edges(round_no))
-
-    def to_csr(self, round_no: int) -> CSRAdjacency:
-        """CSR-native provider interface for the fast backend."""
-        return self.as_dynamic_graph().to_csr(round_no)
 
     def as_dynamic_graph(self) -> CSRDynamicGraph:
         """This adversary as a cached CSR-native dynamic graph.
 
         Repeated calls return one shared instance so the bounded
         per-round caches are shared across every consumer of this
-        adversary object.
+        adversary object.  The graph's provider is built from
+        ``(n, seed, extra_edge_p)``, not from ``self``, so the adversary
+        and its graph form no reference cycle and are freed as soon as
+        the last reference goes.
         """
         if self._native is None:
             self._native = CSRDynamicGraph(
                 self.n,
-                self.edges,
+                partial(_round_edges, self.n, self.seed, self.extra_edge_p),
                 name=f"random-connected(n={self.n}, seed={self.seed})",
             )
         return self._native

@@ -6,17 +6,12 @@ fidelity, but the interpreter loop dominates wall-clock time on large
 sweeps.  This module provides the *fast backend*: a second execution
 path that compiles a round into array operations.
 
-* Topologies are lowered once to CSR adjacency
-  (:mod:`repro.networks.csr`), with the model checks (node set,
-  self-loops, connectivity) memoized per graph object instead of
-  recomputed every round.  CSR-native topologies
-  (:class:`~repro.networks.CSRDynamicGraph` and anything exposing
-  ``to_csr(round_no)``) skip the networkx lowering entirely: the lane
-  adjacency comes straight from per-round edge arrays.  The per-lane
-  adjacency caches and the lane-stack cache are LRU-bounded
-  (``adjacency.cache_evictions`` / ``adjacency.stack_evictions``), so
-  fresh-graph-per-round workloads hold O(1) adjacency memory instead of
-  leaking one lowered graph per round.
+* Each round, the lanes' validated ``(u, v)`` edge arrays become one
+  stacked CSR adjacency with one dedup sort and one connectivity check,
+  memoized per tuple of edge arrays (:class:`~repro.networks.csr.StackCache`),
+  so a held or cycled round costs a list of edge lookups and one LRU
+  lookup.  Each lane's edge source is resolved once per block
+  (:func:`_edge_source`).
 * Protocols whose per-round receive phase is an aggregation over the
   multiset of received values implement :class:`VectorizedProtocol`:
   state lives in NumPy arrays over a flat node axis and one ``step``
@@ -44,13 +39,12 @@ match to within accumulation order).  The fast path intentionally does
 not support tracing -- re-run on the object engine to inspect a
 round-by-round trace.
 
-Known chunking caveats (documented divergences, both outside the
-differential contract): ``round_hook`` fires once per chunk per round
-rather than once per global round, and a lane's topology is only
-evaluated for the rounds its chunk executes (plus sampled telemetry
-rounds), so a graph that turns invalid *after* every lane of its chunk
-terminated is not observed the way the monolithic stack -- which keeps
-stacking finished lanes -- would observe it.
+Known chunking caveat (a documented divergence, outside the
+differential contract): a lane's topology is only evaluated for the
+rounds its chunk executes (plus sampled telemetry rounds), so a graph
+that turns invalid *after* every lane of its chunk terminated is not
+observed the way the monolithic stack -- which keeps stacking finished
+lanes -- would observe it.
 """
 
 from __future__ import annotations
@@ -63,11 +57,14 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.networks.csr import (
-    AdjacencyCache,
     CSRAdjacency,
+    EdgeArrays,
+    EdgeCache,
     StackCache,
+    first_disconnected_lane,
     index_dtype_for,
 )
+from repro.networks.dynamic_graph import DynamicGraph
 from repro.obs import telemetry as telemetry_mod
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter
@@ -171,8 +168,9 @@ class FastLane:
 
     Attributes:
         topology: The lane's adversary -- anything the object engine
-            accepts: a :class:`~repro.networks.DynamicGraph` (its
-            ``to_csr`` memoization is used directly), an object with a
+            accepts: a :class:`~repro.networks.DynamicGraph` (its cached
+            ``edges`` are used directly), an object with an
+            ``as_dynamic_graph()`` method or a
             ``graph(round_no, processes)`` method, or a plain
             ``f(round_no) -> nx.Graph`` callable.
         n: Number of nodes of this lane.
@@ -330,13 +328,39 @@ _TELEMETRY_KEYS = (
 )
 
 
+def _edge_source(index: int, lane: FastLane) -> Callable[[int], EdgeArrays]:
+    """Resolve a lane's topology, once, to ``round -> validated (u, v)``.
+
+    Dynamic graphs (and adversaries exposing ``as_dynamic_graph``) serve
+    their own cached edge arrays; ``graph()`` providers and callables
+    get a per-graph-object :class:`EdgeCache` (node-set, self-loop
+    checks).
+    """
+    topology = lane.topology
+    as_dynamic_graph = getattr(topology, "as_dynamic_graph", None)
+    if as_dynamic_graph is not None:
+        topology = as_dynamic_graph()
+    if isinstance(topology, DynamicGraph):
+        if topology.n != lane.n:
+            raise TopologyError(
+                f"lane {index} topology has {topology.n} nodes, "
+                f"expected {lane.n}"
+            )
+        return topology.edges
+    memo = EdgeCache()
+    graph_of = getattr(topology, "graph", None)
+    if graph_of is not None:
+        return lambda round_no: memo.edges(graph_of(round_no, None), n=lane.n)
+    return lambda round_no: memo.edges(topology(round_no), n=lane.n)
+
+
 class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
-    Owns the chunk-local layouts (rebased to offset 0), adjacency
-    caches, and the matvec loop.  The monolithic run is the one-block
-    special case, so chunked and single-stack executions share every
-    line of the hot loop.
+    Owns the chunk-local layouts (rebased to offset 0), the lanes' edge
+    sources, the stack cache, and the matvec loop.  The monolithic run
+    is the one-block special case, so chunked and single-stack
+    executions share every line of the hot loop.
     """
 
     def __init__(
@@ -344,9 +368,8 @@ class _LaneBlock:
     ) -> None:
         self.lanes = list(lanes)
         self.config = config
-        offsets = np.concatenate(
-            ([0], np.cumsum([lane.n for lane in self.lanes]))
-        )
+        self._sizes = tuple(lane.n for lane in self.lanes)
+        offsets = np.concatenate(([0], np.cumsum(self._sizes)))
         self.total_nodes = int(offsets[-1])
         # Dtype policy: lane offsets and per-lane sent counts fit the
         # node-count dtype; per-lane delivered counts can reach ~n^2
@@ -359,46 +382,24 @@ class _LaneBlock:
             offset = int(self._offsets[index])
             leader = None if lane.leader is None else offset + lane.leader
             self.layouts.append(LaneLayout(index, offset, lane.n, leader))
-        self._caches = [AdjacencyCache() for _ in self.lanes]
-        self._stack = StackCache()
+        self._sources = [
+            _edge_source(index, lane) for index, lane in enumerate(self.lanes)
+        ]
+        self._stack = StackCache(check_connected=config.require_connected)
 
     # -- adjacency ----------------------------------------------------
 
-    def _lane_adjacency(self, lane_index: int, round_no: int) -> CSRAdjacency:
-        lane = self.lanes[lane_index]
-        to_csr = getattr(lane.topology, "to_csr", None)
-        if to_csr is not None:
-            adjacency = to_csr(round_no)
-        else:
-            graph_of = getattr(lane.topology, "graph", None)
-            graph = (
-                graph_of(round_no, None)
-                if graph_of is not None
-                else lane.topology(round_no)
-            )
-            adjacency = self._caches[lane_index].lower(graph, n=lane.n)
-        if adjacency.n != lane.n:
+    def _stacked_adjacency(self, round_no: int) -> CSRAdjacency:
+        adjacency = self._stack.stack(
+            self._sizes, [edges(round_no) for edges in self._sources]
+        )
+        if adjacency.connected is False:
+            lane = first_disconnected_lane(adjacency, self._sizes)
             raise TopologyError(
-                f"round {round_no}: lane {lane_index} produced {adjacency.n} "
-                f"nodes, expected {lane.n}"
-            )
-        if (
-            self.config.require_connected
-            and lane.n > 1
-            and not adjacency.connected
-        ):
-            raise TopologyError(
-                f"round {round_no}: lane {lane_index} graph is disconnected "
+                f"round {round_no}: lane {lane} graph is disconnected "
                 "but 1-interval connectivity is required"
             )
         return adjacency
-
-    def _stacked_adjacency(self, round_no: int) -> CSRAdjacency:
-        parts = [
-            self._lane_adjacency(index, round_no)
-            for index in range(len(self.lanes))
-        ]
-        return self._stack.stack(parts)
 
     def edges_at(self, round_no: int) -> int:
         """Total edge count of the chunk's lanes at ``round_no``.
@@ -408,10 +409,7 @@ class _LaneBlock:
         lanes' edges every round, and a block-diagonal's edge count is
         exactly the sum of its parts.
         """
-        return sum(
-            self._lane_adjacency(index, round_no).edges
-            for index in range(len(self.lanes))
-        )
+        return self._stacked_adjacency(round_no).edges
 
     # -- stop criteria ------------------------------------------------
 
@@ -437,7 +435,6 @@ class _LaneBlock:
     def run(
         self,
         protocol: VectorizedProtocol,
-        round_hook: Callable[[int], None] | None,
         telemetry,
         *,
         stream: bool,
@@ -482,8 +479,6 @@ class _LaneBlock:
             stats["graphs"] += active_count
             stats["sent"] += round_sent
             stats["delivered"] += round_delivered
-            if round_hook is not None:
-                round_hook(round_no)
             mask = protocol.output_mask()
             if telemetry is not None and telemetry.wants(round_no):
                 # Same post-round semantics as the object engine's
@@ -546,7 +541,7 @@ class FastEngine:
     ``budget``), the same round accounting (a lane's terminal round is
     executed in full), the same :class:`TerminationError` on budget
     exhaustion, and the same per-round validation rules -- performed
-    once per distinct graph object through the adjacency cache.
+    once per distinct round stack through the stack cache.
 
     Args:
         protocol: The vectorized protocol instance (one per engine).
@@ -580,7 +575,6 @@ class FastEngine:
         lanes: Sequence[FastLane],
         *,
         config: EngineConfig | None = None,
-        round_hook: Callable[[int], None] | None = None,
         max_lane_nodes: int | None = None,
     ) -> None:
         if not lanes:
@@ -593,7 +587,6 @@ class FastEngine:
             )
         self.protocol = protocol
         self.lanes = list(lanes)
-        self.round_hook = round_hook
         sizes = []
         for index, lane in enumerate(self.lanes):
             if lane.n < 1:
@@ -610,21 +603,6 @@ class FastEngine:
         # own, smaller dtypes from the chunk totals).
         self._index_dtype = index_dtype_for(self.total_nodes)
         self._acc_dtype = index_dtype_for(self.total_nodes**2)
-        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(
-            self._index_dtype
-        )
-        self._offsets = offsets
-        self.layouts = [
-            LaneLayout(
-                index,
-                int(offsets[index]),
-                lane.n,
-                None
-                if lane.leader is None
-                else int(offsets[index]) + lane.leader,
-            )
-            for index, lane in enumerate(self.lanes)
-        ]
         if max_lane_nodes is None:
             max_lane_nodes = active_lane_budget()
         if max_lane_nodes is not None:
@@ -684,7 +662,6 @@ class FastEngine:
                 block = _LaneBlock(self.lanes[start:stop], config)
                 outcome = block.run(
                     protocol,
-                    self.round_hook,
                     telemetry,
                     stream=not streaming,
                     batch_nodes=self.total_nodes,

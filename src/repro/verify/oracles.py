@@ -149,10 +149,11 @@ def _check_native_csr(
     For CSR-native families (:class:`~repro.networks.CSRDynamicGraph`)
     the CSR adjacency is built straight from the edge arrays while the
     graph handed in came through ``at()`` -- two independent lowerings
-    of the same arrays; for plain providers ``to_csr`` goes through
-    :func:`~repro.networks.csr.lower_graph` and the check still pins the
-    cache path.  Only runs once the round graph itself passed the
-    structural checks, so a mutated (corrupted) graph never reaches it.
+    of the same arrays; for plain providers ``to_csr`` extracts the
+    graph's edge arrays, a path independent of the
+    :func:`~repro.networks.csr.lower_graph` check above.  Only runs once
+    the round graph itself passed the structural checks, so a mutated
+    (corrupted) graph never reaches it.
     """
     violations: list[str] = []
     adjacency = network.to_csr(round_no)

@@ -9,16 +9,27 @@ simulations.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.adversaries.worst_case import worst_case_pd2_network
 from repro.core.counting.flooding import flood_time_via_protocol
 from repro.core.counting.gossip import gossip_size_estimates
 from repro.networks import CSRDynamicGraph, precompile_schedule
+from repro.networks.csr import (
+    csr_from_edges,
+    edge_keys,
+    graph_from_edges,
+    index_dtype_for,
+    lower_graph,
+    stack_edges,
+)
 from repro.networks.csr_native import DEFAULT_ROUND_CACHE_SIZE
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.pd import random_pd_network
@@ -189,7 +200,18 @@ class TestPrecompiledSchedules:
             precompile_schedule(self.source(), 2)
         counters = registry.snapshot()["counters"]
         assert counters["adjacency.precompiled_schedules"] == 1
-        assert counters["adjacency.native_builds"] >= 2
+        # Validation is eager, CSR lowering is not: the fast engine
+        # stacks the compiled edge arrays itself.
+        assert "adjacency.native_builds" not in counters
+
+    def test_invalid_prefix_rejected_eagerly(self):
+        def provider(round_no):
+            if round_no == 1:
+                return np.array([0, 2]), np.array([1, 2])  # self-loop
+            return np.array([0, 1]), np.array([1, 2])
+
+        with pytest.raises(TopologyError, match="self-loop"):
+            precompile_schedule(CSRDynamicGraph(3, provider), 3)
 
 
 class TestFamilyEquivalence:
@@ -220,6 +242,111 @@ class TestFamilyEquivalence:
                 compiled.to_csr(round_no).matrix.toarray(),
                 nx.to_numpy_array(plain.at(round_no), nodelist=range(plain.n)),
             )
+
+
+def block_diag_reference(sizes, edges):
+    """The per-lane lowering the stacked build replaces, rebuilt here.
+
+    Each lane is lowered on its own -- once through ``csr_from_edges``
+    and once through the networkx export -- and the lanes are copied
+    onto the block diagonal by ``scipy.sparse.block_diag``.
+    """
+    per_lane = [csr_from_edges(n, u, v).matrix for n, (u, v) in zip(sizes, edges)]
+    via_nx = [
+        lower_graph(graph_from_edges(n, u, v)).matrix
+        for n, (u, v) in zip(sizes, edges)
+    ]
+    for mine, theirs in zip(per_lane, via_nx):
+        assert np.array_equal(mine.indptr, theirs.indptr)
+        assert np.array_equal(mine.indices, theirs.indices)
+    return sp.block_diag(per_lane, format="csr")
+
+
+def assert_matches_reference(sizes, edges):
+    stacked = stack_edges(sizes, edges).matrix
+    reference = block_diag_reference(sizes, edges)
+    assert np.array_equal(stacked.indptr, reference.indptr)
+    assert np.array_equal(stacked.indices, reference.indices)
+    dtype = index_dtype_for(max(sum(sizes), reference.nnz))
+    assert stacked.indptr.dtype == stacked.indices.dtype == dtype
+    assert np.all(stacked.data == 1.0)
+
+
+class TestStackedBuild:
+    """One stacked build per round == per-lane lowering + block_diag."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_every_family_in_one_stack(self, seed):
+        networks = list(family_networks(seed).values())
+        sizes = [network.n for network in networks]
+        for round_no in range(6):
+            assert_matches_reference(
+                sizes, [network.edges(round_no) for network in networks]
+            )
+
+    def test_duplicate_edges_in_both_orientations(self):
+        sizes = [9, 14, 6]
+        edges = []
+        for n in sizes:
+            u, v = RandomConnectedAdversary(
+                n, seed=n, extra_edge_p=0.4
+            ).edges(0)
+            # Every edge once more, reversed, plus the extras again.
+            edges.append(
+                (np.concatenate([u, v, u]), np.concatenate([v, u, v]))
+            )
+        assert_matches_reference(sizes, edges)
+
+    def test_mixed_lane_sizes_including_singletons(self):
+        sizes = [1, 7, 1, 12, 2, 1]
+        edges = [
+            RandomConnectedAdversary(n, seed=3, extra_edge_p=0.3).edges(2)
+            for n in sizes
+        ]
+        assert_matches_reference(sizes, edges)
+        stacked = stack_edges(sizes, edges)
+        assert stacked.connected is True
+        assert stacked.n == sum(sizes)
+
+    def test_disconnected_lane_recorded(self):
+        ring = ring_provider(4)(0)
+        split = (np.array([0, 2]), np.array([1, 3]))
+        assert stack_edges([4, 4, 4], [ring, split, ring]).connected is False
+        assert stack_edges([4, 4], [ring, ring]).connected is True
+        unchecked = stack_edges([4, 4], [ring, split], check_connected=False)
+        assert unchecked.connected is None
+
+    def test_key_overflow_guard(self):
+        # total**2 must fit int64; the guard fires before any key is
+        # formed, so no node arrays of that size are ever allocated.
+        rows, cols = np.array([0, 1]), np.array([1, 0])
+        largest = 3_037_000_499  # largest total with total**2 < 2**63
+        keys = edge_keys(largest, rows, cols)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [1, largest]
+        assert (largest - 1) * largest + (largest - 1) < 2**63
+        with pytest.raises(ValueError, match="overflows the int64"):
+            edge_keys(largest + 1, rows, cols)
+        with pytest.raises(ValueError, match="overflows the int64"):
+            edge_keys(2**32, rows, cols)
+
+
+class TestReferenceCycles:
+    def test_adversary_freed_without_cyclic_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            adversary = RandomConnectedAdversary(8, seed=1)
+            network = adversary.as_dynamic_graph()
+            network.to_csr(0)
+            network.at(0)
+            adversary_ref = weakref.ref(adversary)
+            network_ref = weakref.ref(network)
+            del adversary, network
+            assert adversary_ref() is None
+            assert network_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestBoundedMemory:
@@ -280,12 +407,14 @@ class TestIndexDtypePolicy:
         assert adjacency.matrix.indptr.dtype == np.int32
 
     def test_stacked_adjacency_keeps_policy_dtype(self):
-        from repro.networks.csr import lower_graph, stack_adjacencies
+        from repro.networks.csr import graph_edges, stack_edges
 
-        stacked = stack_adjacencies(
-            [lower_graph(nx.path_graph(4)), lower_graph(nx.cycle_graph(5))]
+        stacked = stack_edges(
+            [4, 5],
+            [graph_edges(nx.path_graph(4)), graph_edges(nx.cycle_graph(5))],
         )
         assert stacked.matrix.indices.dtype == np.int32
+        assert stacked.matrix.indptr.dtype == np.int32
 
     def test_dedup_keys_never_wrap_at_large_n(self):
         # a*n + b of the duplicate-collapse key can exceed int32 even

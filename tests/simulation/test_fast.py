@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from repro.networks.csr import (
-    AdjacencyCache,
+    EdgeCache,
     StackCache,
+    csr_from_edges,
+    graph_edges,
     lower_graph,
-    stack_adjacencies,
+    stack_edges,
 )
+from repro.networks import CSRDynamicGraph, precompile_schedule
 from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.engine import EngineConfig
 from repro.simulation.errors import TerminationError, TopologyError
@@ -27,6 +31,10 @@ from repro.simulation.trace import TraceLevel
 
 def dyn(graphs, **kwargs):
     return DynamicGraph.from_graphs(graphs, **kwargs)
+
+
+def path_edges(n):
+    return graph_edges(nx.path_graph(n))
 
 
 class Flood(VectorizedProtocol):
@@ -103,102 +111,103 @@ class TestLowerGraph:
 
 class TestCaches:
     def test_adjacency_cache_hit_by_identity(self):
-        cache = AdjacencyCache()
+        cache = EdgeCache()
         graph = nx.path_graph(3)
-        assert cache.lower(graph) is cache.lower(graph)
+        assert cache.edges(graph) is cache.edges(graph)
         assert len(cache) == 1
 
     def test_adjacency_cache_distinct_objects(self):
-        cache = AdjacencyCache()
-        assert cache.lower(nx.path_graph(3)) is not cache.lower(
+        cache = EdgeCache()
+        assert cache.edges(nx.path_graph(3)) is not cache.edges(
             nx.path_graph(3)
         )
 
     def test_stack_single_part_passthrough(self):
-        part = lower_graph(nx.path_graph(3))
-        assert stack_adjacencies([part]) is part
+        # A one-lane stack is exactly the lane's own CSR adjacency.
+        u, v = path_edges(3)
+        stacked = stack_edges([3], [(u, v)])
+        single = csr_from_edges(3, u, v)
+        assert np.array_equal(stacked.matrix.indptr, single.matrix.indptr)
+        assert np.array_equal(stacked.matrix.indices, single.matrix.indices)
+        assert stacked.connected is single.connected is True
 
     def test_stack_block_diagonal(self):
-        a = lower_graph(nx.path_graph(2))
-        b = lower_graph(nx.path_graph(3))
-        stacked = stack_adjacencies([a, b])
+        parts = [path_edges(2), path_edges(3)]
+        stacked = stack_edges([2, 3], parts, check_connected=False)
         assert stacked.n == 5
         assert stacked.edges == 3
         assert stacked.connected is None
+        assert stack_edges([2, 3], parts).connected is True
         # No cross-lane edges: flooding lane a never reaches lane b.
         x = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         assert list(stacked.matvec(x))[2:] == [0.0, 0.0, 0.0]
 
     def test_stack_cache_hit(self):
         cache = StackCache()
-        parts = [lower_graph(nx.path_graph(2)), lower_graph(nx.path_graph(3))]
-        assert cache.stack(parts) is cache.stack(parts)
+        parts = [path_edges(2), path_edges(3)]
+        assert cache.stack((2, 3), parts) is cache.stack((2, 3), parts)
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
-            stack_adjacencies([])
+            stack_edges([], [])
 
     def test_adjacency_cache_is_bounded(self):
         registry = MetricsRegistry()
-        cache = AdjacencyCache(maxsize=3)
+        cache = EdgeCache(maxsize=3)
         graphs = [nx.path_graph(3) for _ in range(10)]
         with use_registry(registry):
             for graph in graphs:
-                cache.lower(graph)
+                cache.edges(graph)
         assert len(cache) == 3
         counters = registry.snapshot()["counters"]
         assert counters["adjacency.cache_evictions"] == 7
 
     def test_adjacency_cache_lru_keeps_recent(self):
-        cache = AdjacencyCache(maxsize=2)
+        cache = EdgeCache(maxsize=2)
         old, recent = nx.path_graph(3), nx.path_graph(4)
-        first = cache.lower(old)
-        second = cache.lower(recent)
-        cache.lower(recent)  # refresh: recent is now most recently used
-        cache.lower(nx.path_graph(5))  # evicts `old`, not `recent`
-        assert cache.lower(recent) is second
-        assert cache.lower(old) is not first
+        first = cache.edges(old)
+        second = cache.edges(recent)
+        cache.edges(recent)  # refresh: recent is now most recently used
+        cache.edges(nx.path_graph(5))  # evicts `old`, not `recent`
+        assert cache.edges(recent) is second
+        assert cache.edges(old) is not first
 
     def test_adjacency_cache_clear(self):
-        cache = AdjacencyCache()
+        cache = EdgeCache()
         graph = nx.path_graph(3)
-        before = cache.lower(graph)
+        before = cache.edges(graph)
         cache.clear()
         assert len(cache) == 0
-        assert cache.lower(graph) is not before
+        assert cache.edges(graph) is not before
 
     def test_stack_cache_is_bounded(self):
         registry = MetricsRegistry()
         cache = StackCache(maxsize=2)
-        parts_list = [
-            [lower_graph(nx.path_graph(2)), lower_graph(nx.path_graph(3))]
-            for _ in range(5)
-        ]
+        parts_list = [[path_edges(2), path_edges(3)] for _ in range(5)]
         with use_registry(registry):
-            stacks = [cache.stack(parts) for parts in parts_list]
+            stacks = [cache.stack((2, 3), parts) for parts in parts_list]
         assert len(cache) == 2
         counters = registry.snapshot()["counters"]
         assert counters["adjacency.stack_evictions"] == 3
         # The two most recent entries are still identity-served.
-        assert cache.stack(parts_list[-1]) is stacks[-1]
-        assert cache.stack(parts_list[-2]) is stacks[-2]
+        assert cache.stack((2, 3), parts_list[-1]) is stacks[-1]
+        assert cache.stack((2, 3), parts_list[-2]) is stacks[-2]
 
     def test_stack_cache_clear(self):
         cache = StackCache()
-        parts = [lower_graph(nx.path_graph(2)), lower_graph(nx.path_graph(3))]
-        before = cache.stack(parts)
+        parts = [path_edges(2), path_edges(3)]
+        before = cache.stack((2, 3), parts)
         cache.clear()
         assert len(cache) == 0
-        assert cache.stack(parts) is not before
+        assert cache.stack((2, 3), parts) is not before
 
     def test_stack_cache_changed_length_is_a_miss(self):
         # A key built from fewer lanes must never be confused with a
         # stale longer entry (id-reuse collisions included).
         cache = StackCache()
-        a = lower_graph(nx.path_graph(2))
-        b = lower_graph(nx.path_graph(3))
-        both = cache.stack([a, b])
-        only_a = cache.stack([a])
+        a, b = path_edges(2), path_edges(3)
+        both = cache.stack((2, 3), [a, b])
+        only_a = cache.stack((2,), [a])
         assert only_a is not both
         assert only_a.n == 2
 
@@ -333,17 +342,6 @@ class TestFastEngine:
         )
         assert engine.run()[0].rounds == 2
 
-    def test_round_hook_called_per_round(self):
-        seen = []
-        engine = FastEngine(
-            Flood([0]),
-            [FastLane(dyn([nx.path_graph(4)]), 4, leader=None)],
-            config=EngineConfig(stop_when="all", max_rounds=10),
-            round_hook=seen.append,
-        )
-        engine.run()
-        assert seen == [0, 1, 2]
-
     def test_counters_match_object_engine_semantics(self):
         # 1 run, 3 rounds, 3 graphs; sending set sizes 1, 2, 3 over the
         # path-4 flood; deliveries: round 0: node1 gets 1; round 1:
@@ -398,3 +396,74 @@ class TestFastEngine:
                 Flood([0]),
                 [FastLane(dyn([nx.path_graph(3)]), 3, leader=5)],
             )
+
+
+def ring_edges(n):
+    u = np.arange(n)
+    return u, (u + 1) % n
+
+
+class TestStackedRounds:
+    """The engine's one-stacked-build-per-round path."""
+
+    def test_disconnected_lane_named_with_its_round(self):
+        def lane_two(round_no):
+            if round_no == 3:  # two disjoint edges: disconnected
+                return np.array([0, 2]), np.array([1, 3])
+            return ring_edges(4)
+
+        lanes = [
+            FastLane(CSRDynamicGraph(4, lambda r: ring_edges(4)), 4, None)
+            for _ in range(4)
+        ]
+        lanes[2] = FastLane(CSRDynamicGraph(4, lane_two), 4, None)
+        engine = FastEngine(
+            Flood([0, 0, 0, 0]),
+            lanes,
+            config=EngineConfig(stop_when="budget", max_rounds=6),
+        )
+        with pytest.raises(
+            TopologyError,
+            match=r"^round 3: lane 2 graph is disconnected but 1-interval "
+            r"connectivity is required$",
+        ):
+            engine.run()
+
+    def test_cycled_schedule_hits_stack_cache_after_first_period(self):
+        period, rounds = 4, 22
+        lanes = [
+            FastLane(
+                precompile_schedule(
+                    RandomConnectedAdversary(n, seed=n).as_dynamic_graph(),
+                    period,
+                    extend="cycle",
+                ),
+                n,
+                None,
+            )
+            for n in (5, 9, 7)
+        ]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            FastEngine(
+                Flood([0, 0, 0]),
+                lanes,
+                config=EngineConfig(stop_when="budget", max_rounds=rounds),
+            ).run()
+        counters = registry.snapshot()["counters"]
+        assert counters["adjacency.stack_builds"] == period
+        assert counters["adjacency.stack_hits"] == rounds - period
+
+    def test_lane_node_count_checked_at_construction(self):
+        engine = FastEngine(
+            Flood([0, 0]),
+            [
+                FastLane(dyn([nx.path_graph(3)]), 3, None),
+                FastLane(dyn([nx.path_graph(4)]), 5, None),
+            ],
+            config=EngineConfig(stop_when="all", max_rounds=5),
+        )
+        with pytest.raises(
+            TopologyError, match="lane 1 topology has 4 nodes, expected 5"
+        ):
+            engine.run()
