@@ -9,6 +9,9 @@ wall-clock speedups:
 * ``benchmarks/BENCH_engine.json`` -- the committed baseline; the run
   fails (exit 1) if a floor-checked workload's speedup at the largest
   size drops below the baseline's ``min_speedup`` for the chosen mode.
+* ``benchmarks/BENCH_trajectory.json`` -- one :mod:`repro.obs.bench`
+  record appended per full-workload run; ``repro bench-report`` renders
+  it and diffs the latest run against its same-mode baseline.
 
 For static workloads topology construction is hoisted out of the timed
 region: sampling a random tree is identical Python work for both
@@ -42,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 
-import trajectory
 from repro.analysis.sweep import chunked, log_spaced_sizes
 from repro.core.counting.flooding import (
     flood_time_via_protocol,
@@ -57,9 +59,11 @@ from repro.networks.generators.random_dynamic import (
     RandomConnectedAdversary,
     random_connected_graph,
 )
+from repro.obs.bench import append_record, make_record
 
 HERE = Path(__file__).parent
 BASELINE_PATH = HERE / "BENCH_engine.json"
+TRAJECTORY_PATH = HERE / "BENCH_trajectory.json"
 RESULTS_DIR = HERE / "results"
 
 SEEDS = (3, 5, 11)
@@ -327,10 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     if not args.only:
         # Partial sweeps would record misleadingly sparse trajectory
         # entries, so only full workload sets join the history.
-        trajectory.append_run(
-            mode=mode, workloads=workloads, wall_s=sweep_wall
+        record = make_record(
+            mode=mode, workloads=workloads, wall_s=sweep_wall, cwd=HERE
         )
-        print(f"trajectory updated: {trajectory.TRAJECTORY_PATH}")
+        length = append_record(record, TRAJECTORY_PATH)
+        print(f"trajectory updated: {TRAJECTORY_PATH} ({length} run(s))")
 
     if args.update_baseline and args.only:
         print("--update-baseline needs the full workload set; drop --only")

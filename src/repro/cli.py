@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite",
         action="append",
         default=None,
-        choices=["model", "kernel", "backend", "runtime", "counting"],
+        choices=["model", "kernel", "backend", "runtime", "counting", "stack"],
         help="restrict to specific suites (repeatable; default: all)",
     )
     verify.add_argument(

@@ -103,11 +103,8 @@ class VectorizedFlood(VectorizedProtocol):
         return self.informed
 
     def outputs_for(self, layout: LaneLayout) -> dict[int, bool]:
-        return {
-            index: True
-            for index in range(layout.n)
-            if self.informed[layout.offset + index]
-        }
+        informed = self.informed[layout.offset : layout.stop]
+        return dict.fromkeys(np.flatnonzero(informed).tolist(), True)
 
     def subset(self, indices: Sequence[int]) -> "VectorizedFlood":
         return VectorizedFlood([self._sources[i] for i in indices])

@@ -126,10 +126,9 @@ class VectorizedIdFlood(VectorizedProtocol):
     def outputs_for(self, layout: LaneLayout) -> dict[int, int]:
         if not self._mask[layout.offset]:
             return {}
-        return {
-            index: int(self._counts[layout.offset + index])
-            for index in range(layout.n)
-        }
+        return dict(
+            enumerate(self._counts[layout.offset : layout.stop].tolist())
+        )
 
     def subset(self, indices: Sequence[int]) -> "VectorizedIdFlood":
         # The chunk-local known matrix narrows to the chunk's widest

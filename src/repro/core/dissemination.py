@@ -172,7 +172,7 @@ class VectorizedTokenFlood(VectorizedProtocol):
     def outputs_for(self, layout: LaneLayout) -> dict[int, bool]:
         rows = slice(layout.offset, layout.stop)
         full = self.known[rows].sum(axis=1) == self._required[rows]
-        return {index: True for index in range(layout.n) if full[index]}
+        return dict.fromkeys(np.flatnonzero(full).tolist(), True)
 
     def subset(self, indices: Sequence[int]) -> "VectorizedTokenFlood":
         return VectorizedTokenFlood(

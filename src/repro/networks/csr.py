@@ -10,9 +10,10 @@ matvec (or a dense matmul for set-valued states).
 
 There is one lowering path: validated ``(u, v)`` edge index arrays in,
 CSR out.  :func:`stack_edges` builds one block-diagonal adjacency for
-all lanes of a round -- one sort-based dedup, one ``bincount`` CSR
-build, one connectivity check -- and :class:`StackCache` memoizes it per
-tuple of lane edge-array identities.  :func:`csr_from_edges` is its
+all lanes of a round -- a sort-based dedup, one ``bincount`` CSR build,
+one connectivity traversal (:func:`lanes_connected`) -- and
+:class:`StackCache` memoizes it per tuple of lane edge-array
+identities.  :func:`csr_from_edges` is its
 validated one-lane case; networkx graphs enter through
 :func:`graph_edges` (memoized per graph object by :class:`EdgeCache`).
 :func:`lower_graph` keeps networkx's own sparse export as the verify
@@ -21,8 +22,10 @@ oracle's independent path.  Both caches are LRU-bounded
 
 Index dtype policy: every CSR index array is ``index_dtype_for`` its
 largest value -- ``int32`` while node count and entry count fit,
-``int64`` otherwise -- while dedup keys are always ``int64``
-(:func:`edge_keys` refuses stacks whose keys could overflow).
+``int64`` otherwise.  Dedup keys ``u * n + v`` live in the narrowest
+dtype of their key space (:func:`edge_keys`): ``int32`` up to 46340
+nodes, ``int64`` above, and a stack too large for ``int32`` keys is
+keyed lane by lane, so no key ever spans the whole stack.
 
 A compiled receive-phase kernel may be installed process-wide with
 :func:`set_matvec_kernel` (see :mod:`repro.simulation.jit`);
@@ -32,13 +35,15 @@ and otherwise falls back to the scipy matvec.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Hashable, Sequence
 
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.obs.metrics import counter
 from repro.simulation.errors import TopologyError
@@ -55,6 +60,7 @@ __all__ = [
     "graph_edges",
     "graph_from_edges",
     "index_dtype_for",
+    "lanes_connected",
     "lower_graph",
     "matvec_kernel",
     "set_matvec_kernel",
@@ -289,21 +295,85 @@ def validate_edge_arrays(
     return u.astype(dtype, copy=False), v.astype(dtype, copy=False)
 
 
-def edge_keys(total: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``rows * total + cols`` as ``int64`` pair keys.
+def edge_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rows * n + cols`` as pair keys of one ``n``-node key space.
 
     Sorting the keys sorts the entries by row, then column: CSR order.
+    Keys are ``int32`` while every key fits (``n <= 46340``, so that
+    ``n * n - 1 < 2**31``) and ``int64`` above that.
 
     Raises:
-        ValueError: ``total**2`` does not fit ``int64``, so a key could
+        ValueError: ``n**2`` does not fit ``int64``, so a key could
             wrap silently.
     """
-    if total * total >= 2**63:
+    if n * n >= 2**63:
         raise ValueError(
-            f"a stack of {total} nodes overflows the int64 pair keys "
-            "(total**2 >= 2**63); lower the lane budget (max_lane_nodes)"
+            f"a lane of {n} nodes overflows the int64 pair keys "
+            "(n**2 >= 2**63)"
         )
-    return rows.astype(np.int64, copy=False) * total + cols
+    # The largest key is n * n - 1.
+    dtype = np.int32 if n * n <= INT32_LIMIT else np.int64
+    return rows.astype(dtype, copy=False) * n + cols.astype(dtype, copy=False)
+
+
+def _entries(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric, deduplicated ``(rows, cols)`` of ``n`` nodes, CSR order.
+
+    Both orientations of every edge are keyed, sorted once, and
+    duplicates dropped by an adjacent-difference mask.
+    """
+    keys = edge_keys(n, np.concatenate((u, v)), np.concatenate((v, u)))
+    keys.sort()
+    if keys.size > 1:
+        fresh = keys[1:] != keys[:-1]
+        if not fresh.all():
+            keys = keys[np.concatenate(([True], fresh))]
+    rows = keys // n
+    return rows, keys - rows * n
+
+
+def _stacked_pairs(
+    sizes: Sequence[int], edges: Sequence[EdgeArrays]
+) -> EdgeArrays:
+    """Every lane's edges on the stacked node axis, as one pair.
+
+    Only called while the stacked node ids fit ``int32``, so the
+    offsets take the edges' own dtype and ``int32`` stays ``int32``.
+    """
+    if len(edges) == 1:
+        return edges[0]
+    u = np.concatenate([lane_u for lane_u, _ in edges])
+    v = np.concatenate([lane_v for _, lane_v in edges])
+    shift = np.repeat(
+        np.fromiter(accumulate(sizes[:-1], initial=0), u.dtype, len(sizes)),
+        [lane_u.size for lane_u, _ in edges],
+    )
+    return u + shift, v + shift
+
+
+def _lane_local_entries(
+    total: int, sizes: Sequence[int], edges: Sequence[EdgeArrays]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked columns and per-row counts, deduplicated lane by lane.
+
+    Each lane is keyed in its own ``n * n`` space and its columns are
+    shifted by the lane offset straight into the stacked index array,
+    allocated once in the policy dtype.
+    """
+    lanes = [_entries(n, u, v) for n, (u, v) in zip(sizes, edges)]
+    nnz = sum(lane_cols.size for _, lane_cols in lanes)
+    dtype = index_dtype_for(max(total, nnz))
+    cols = np.empty(nnz, dtype=dtype)
+    counts = np.empty(total, dtype=np.int64)
+    end = 0
+    starts = accumulate(sizes, initial=0)
+    for (lane_rows, lane_cols), n, at in zip(lanes, sizes, starts):
+        start, end = end, end + lane_cols.size
+        np.add(lane_cols, dtype.type(at), out=cols[start:end])
+        counts[at : at + n] = np.bincount(lane_rows, minlength=n)
+    return cols, counts
 
 
 def stack_edges(
@@ -318,54 +388,87 @@ def stack_edges(
     the lanes before it, so one matvec on the result is exactly the
     per-lane matvecs fused.  Edges are undirected; duplicates in either
     orientation collapse to one edge, matching ``nx.Graph`` semantics.
-    With ``check_connected`` one ``connected_components`` call records
-    in ``.connected`` whether every lane is connected: the matrix is
-    block-diagonal, so its component count equals the number of
-    (non-empty) lanes exactly then.  Otherwise ``.connected`` is None.
+
+    Dedup keys live in the narrowest key space that holds them
+    (:func:`edge_keys`).  A one-lane stack, or one whose ``total**2``
+    fits ``int32``, is keyed and sorted as a whole, so many small lanes
+    cost one sort; a larger stack keys and sorts each lane in its own
+    ``n * n`` space and shifts columns by the lane offset afterwards,
+    so no ``total**2`` key is ever formed.
+
+    With ``check_connected``, ``.connected`` records whether every lane
+    is connected, found by the one bridged breadth-first traversal of
+    :func:`lanes_connected`.  Otherwise ``.connected`` is None.
     """
     if not sizes or len(sizes) != len(edges):
         raise ValueError(
             f"need one edge-array pair per lane, got {len(edges)} for "
             f"{len(sizes)} lane(s)"
         )
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    total = int(offsets[-1])
-    # Both orientations of every edge, shifted onto the stacked node
-    # axis (int64 offsets, so the sums never wrap the int32 inputs).
-    shifted = [(u + start, v + start) for (u, v), start in zip(edges, offsets)]
-    keys = edge_keys(
-        total,
-        np.concatenate([u for u, _ in shifted] + [v for _, v in shifted]),
-        np.concatenate([v for _, v in shifted] + [u for u, _ in shifted]),
-    )
-    keys.sort()
-    if keys.size > 1:
-        fresh = keys[1:] != keys[:-1]
-        if not fresh.all():
-            keys = keys[np.concatenate(([True], fresh))]
-    dtype = index_dtype_for(max(total, keys.size))
-    rows = keys // total
+    total = int(sum(sizes))
+    if len(sizes) > 1 and total * total > INT32_LIMIT:
+        cols, counts = _lane_local_entries(total, sizes, edges)
+    else:
+        rows, cols = _entries(total, *_stacked_pairs(sizes, edges))
+        counts = np.bincount(rows, minlength=total)
+    dtype = index_dtype_for(max(total, cols.size))
     indptr = np.zeros(total + 1, dtype=dtype)
-    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
-    indices = (keys - rows * total).astype(dtype)
+    np.cumsum(counts, out=indptr[1:])
     matrix = sp.csr_array(
-        (np.ones(keys.size, dtype=np.float64), indices, indptr),
+        (np.ones(cols.size), cols.astype(dtype, copy=False), indptr),
         shape=(total, total),
     )
-    connected = None
-    if check_connected:
-        lanes = int(np.count_nonzero(sizes))
-        # The matrix is symmetric, so strong components are the
-        # undirected ones -- without the transpose directed=False builds.
-        connected = total <= 1 or (
-            connected_components(
-                matrix, directed=True, connection="strong", return_labels=False
-            )
-            == lanes
-        )
+    connected = lanes_connected(matrix, sizes) if check_connected else None
     counter("adjacency.native_builds", len(sizes))
     return CSRAdjacency(matrix, connected=connected)
+
+
+def lanes_connected(matrix: sp.csr_array, sizes: Sequence[int]) -> bool:
+    """Whether every lane of a block-diagonal stack is connected.
+
+    One breadth-first traversal from node 0 over the stacked pattern
+    plus one forward *bridge* entry per lane boundary: node 0 points to
+    the first node of every later non-empty lane.  Bridges only point
+    forward, into first nodes, so a path enters a lane only through its
+    first node; the traversal reaches all ``total`` nodes exactly when
+    every lane is connected.  Node 0's own columns all lie in its lane,
+    below every bridge, so the bridges extend its row in CSR
+    order: one concatenation, and every later row pointer moves by the
+    bridge count.  The bridges live in that copy of the pattern, never
+    in ``matrix``; a one-lane stack needs none.
+    """
+    total = matrix.shape[0]
+    if total <= 1:
+        return True
+    firsts, at = [], 0
+    for size in sizes:
+        if size and at:
+            firsts.append(at)
+        at += size
+    if firsts:
+        indptr, indices = matrix.indptr, matrix.indices
+        head = indptr[1]
+        # scipy's traversal needs one index dtype for both arrays.
+        dtype = np.promote_types(
+            indices.dtype, index_dtype_for(indices.size + len(firsts))
+        )
+        bridged = np.concatenate(
+            (indices[:head], firsts, indices[head:]), dtype=dtype
+        )
+        pointers = np.add(indptr, len(firsts), dtype=dtype)
+        pointers[0] = 0
+        # A shallow copy with the pattern swapped: same shape, rows
+        # still sorted and duplicate-free, so scipy's validating
+        # constructor (~15 us, most of a tiny stack's traversal) is
+        # skipped.  The traversal reads the pattern only: stride-0
+        # unit weights.
+        matrix = copy.copy(matrix)
+        matrix.indices, matrix.indptr = bridged, pointers
+        matrix.data = np.broadcast_to(1.0, bridged.shape)
+    reached = breadth_first_order(
+        matrix, 0, directed=True, return_predecessors=False
+    )
+    return bool(reached.size == total)
 
 
 def first_disconnected_lane(

@@ -11,7 +11,8 @@ relying only on hand-picked examples.  Three layers:
 * :mod:`repro.verify.oracles` -- invariant oracles: model invariants
   (static node set, no self-loops, 1-interval connectivity, CSR
   lowering ≡ networkx adjacency, ``G(PD)_h`` / ``T``-interval
-  contracts) and the paper's Lemma 2-4 / Theorem 1 identities.
+  contracts), the paper's Lemma 2-4 / Theorem 1 identities, and the
+  stacked connectivity verdict of multi-lane stacks.
 * :mod:`repro.verify.drivers` -- differential drivers: object engine
   vs fast backend (outputs, rounds, ``engine.*`` counters) and serial
   vs pooled vs resumed sweeps.

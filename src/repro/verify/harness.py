@@ -36,7 +36,11 @@ from repro.obs.spans import span
 from repro.verify import mutation
 from repro.verify.counting import check_counting_case
 from repro.verify.drivers import check_backend_case, check_runtime_case
-from repro.verify.oracles import check_kernel_case, check_model_case
+from repro.verify.oracles import (
+    check_kernel_case,
+    check_model_case,
+    check_stack_case,
+)
 from repro.verify.strategies import (
     SUITES,
     Case,
@@ -64,6 +68,7 @@ CHECKERS: dict[str, Callable[[Case], list[str]]] = {
     "backend": check_backend_case,
     "runtime": check_runtime_case,
     "counting": check_counting_case,
+    "stack": check_stack_case,
 }
 
 #: The runtime suite runs every workload three full times (serial,
@@ -303,6 +308,7 @@ def replay_fixture(path: str | Path) -> list[str]:
 _MUTANT_SUITES: Mapping[str, str] = {
     "kernel-sign-flip": "kernel",
     "model-self-loop": "model",
+    "stack-lane-disconnect": "stack",
 }
 
 _SELF_TEST_FUZZ = 4

@@ -22,19 +22,32 @@ Registered mutants:
 * ``model-self-loop`` -- adds the self-loop ``(0, 0)`` to every round
   graph handed to the model oracles.  Violates the "a process is never
   its own neighbour" rule for every generated dynamic graph.
+* ``stack-lane-disconnect`` -- isolates the first node of the last
+  multi-node lane before a stack-suite round is stacked.  That lane is
+  disconnected although its case cut no node of it, and the node cut
+  is the one a lane is entered through by the bridged traversal.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import networkx as nx
 import numpy as np
 
-__all__ = ["MUTANTS", "armed", "is_armed", "mutated_graph", "mutated_kernel"]
+from repro.verify.strategies import isolate_node
 
-MUTANTS = ("kernel-sign-flip", "model-self-loop")
+__all__ = [
+    "MUTANTS",
+    "armed",
+    "is_armed",
+    "mutated_graph",
+    "mutated_kernel",
+    "mutated_lanes",
+]
+
+MUTANTS = ("kernel-sign-flip", "model-self-loop", "stack-lane-disconnect")
 """All registered mutant names (see module docstring)."""
 
 _armed: set[str] = set()
@@ -75,3 +88,15 @@ def mutated_graph(graph: nx.Graph) -> nx.Graph:
     corrupted = graph.copy()
     corrupted.add_edge(0, 0)
     return corrupted
+
+
+def mutated_lanes(
+    sizes: Sequence[int], edges: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The lane edge arrays under test (corrupted iff the mutant is armed)."""
+    edges = list(edges)
+    multi = [lane for lane, size in enumerate(sizes) if size > 1]
+    if not is_armed("stack-lane-disconnect") or not multi:
+        return edges
+    edges[multi[-1]] = isolate_node(*edges[multi[-1]], 0)
+    return edges

@@ -7,7 +7,7 @@ is data, not an error -- but they do surface unexpected exceptions as
 violations so the shrinker can minimise crashing cases too (the harness
 wraps every oracle call).
 
-Two suites live here:
+Three suites live here:
 
 * **model** (:func:`check_model_case`) -- structural invariants every
   generated :class:`~repro.networks.DynamicGraph` must satisfy: the
@@ -31,6 +31,15 @@ Two suites live here:
   positive through ``⌊log₃(2n+1)⌋ - 1`` and pinned right after
   (counting is impossible before the Theorem 1 bound, possible at it).
 
+* **stack** (:func:`check_stack_case`) -- the stacked connectivity
+  verdict on fuzzed multi-lane stacks: ``stack_edges(...).connected``
+  (the bridged traversal of :func:`~repro.networks.csr.lanes_connected`)
+  equals ``all(nx.is_connected(lane))``, the stacked pattern equals
+  the block diagonal of networkx's per-lane exports,
+  :func:`~repro.networks.csr.first_disconnected_lane` names networkx's
+  first disconnected lane, and exactly the lanes the case cut are
+  disconnected.
+
 Checks read the data under test through :mod:`repro.verify.mutation`
 hooks, so the self-test can corrupt it and prove the oracles look.
 """
@@ -42,6 +51,7 @@ import random
 
 import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 
 from repro.adversaries.worst_case import (
     max_ambiguity_multigraph,
@@ -57,16 +67,21 @@ from repro.core.lowerbound.kernel import (
 )
 from repro.core.lowerbound.matrices import build_matrix
 from repro.core.states import all_histories
-from repro.networks.csr import lower_graph
+from repro.networks.csr import (
+    first_disconnected_lane,
+    graph_from_edges,
+    lower_graph,
+    stack_edges,
+)
 from repro.networks.properties import (
     is_t_interval_connected,
     verify_pd,
 )
 from repro.simulation.errors import ModelError
 from repro.verify import mutation
-from repro.verify.strategies import Case, build_network
+from repro.verify.strategies import Case, build_network, build_stack
 
-__all__ = ["check_kernel_case", "check_model_case"]
+__all__ = ["check_kernel_case", "check_model_case", "check_stack_case"]
 
 #: Largest round for which the dense ``M_r`` is built to check
 #: ``M_r k_r = 0`` (``3^{r+1}`` columns; beyond this the identity is
@@ -198,6 +213,57 @@ def _check_family_contract(
         if not is_t_interval_connected(network, t, rounds):
             violations.append(
                 f"{t}-interval connectivity fails over {rounds} rounds"
+            )
+    return violations
+
+
+# -- stack suite ------------------------------------------------------
+
+
+def check_stack_case(case: Case) -> list[str]:
+    """The stacked connectivity verdict of one fuzzed multi-lane stack."""
+    violations: list[str] = []
+    stack = build_stack(case)
+    sizes = stack.sizes
+    for round_no in range(int(case.params.get("rounds", 1))):
+        label = f"round {round_no}"
+        edges = mutation.mutated_lanes(sizes, stack.edges(round_no))
+        graphs = [
+            graph_from_edges(n, u, v) for n, (u, v) in zip(sizes, edges)
+        ]
+        broken = [
+            lane
+            for lane, graph in enumerate(graphs)
+            if not nx.is_connected(graph)
+        ]
+        stacked = stack_edges(sizes, edges)
+        reference = sp.block_diag(
+            [nx.to_scipy_sparse_array(g, nodelist=range(len(g))) for g in graphs],
+            format="csr",
+        )
+        if (stacked.matrix != reference).nnz:
+            violations.append(
+                f"{label}: stacked pattern differs from the block diagonal "
+                "of the per-lane networkx exports"
+            )
+        if stacked.connected != (not broken):
+            violations.append(
+                f"{label}: stack_edges says connected={stacked.connected} "
+                f"but networkx finds disconnected lanes {broken}"
+            )
+        if not broken:
+            continue
+        named = first_disconnected_lane(stacked, sizes)
+        if named != broken[0]:
+            violations.append(
+                f"{label}: first_disconnected_lane names lane {named}, "
+                f"networkx lane {broken[0]}"
+            )
+        if broken != sorted(stack.cut):
+            violations.append(
+                f"{label}: lane {named} of sizes {list(sizes)} is "
+                f"disconnected (all disconnected: {broken}), but the case "
+                f"cut lanes {sorted(stack.cut)}"
             )
     return violations
 

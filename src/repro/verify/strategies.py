@@ -51,13 +51,15 @@ __all__ = [
     "MODEL_KINDS",
     "SUITES",
     "build_network",
+    "build_stack",
     "generate_cases",
+    "isolate_node",
     "shrink",
     "shrink_candidates",
 ]
 
-SUITES = ("model", "kernel", "backend", "runtime", "counting")
-"""The five verification suites (see :mod:`repro.verify.harness`)."""
+SUITES = ("model", "kernel", "backend", "runtime", "counting", "stack")
+"""The six verification suites (see :mod:`repro.verify.harness`)."""
 
 MODEL_KINDS = (
     "pd",
@@ -275,12 +277,33 @@ def _counting_case(rng: random.Random) -> Case:
     return Case("counting", kind, rng.randrange(2**31), params)
 
 
+def _stack_case(rng: random.Random) -> Case:
+    # Lanes come from the backend suite's families, with sizes drawn
+    # from [2, n] per lane; ``singletons`` one-node lanes are mixed in
+    # and ``cut`` multi-node lanes get one node isolated on purpose, so
+    # the stacked verdict is fuzzed both ways.
+    return Case(
+        "stack",
+        "multi-lane",
+        rng.randrange(2**31),
+        {
+            "family": rng.choice(_BACKEND_FAMILIES),
+            "lanes": rng.randint(2, 6),
+            "n": rng.randint(2, 12),
+            "singletons": rng.randint(0, 2),
+            "cut": rng.randint(0, 2),
+            "rounds": rng.randint(1, 4),
+        },
+    )
+
+
 _GENERATORS: dict[str, Callable[[random.Random], Case]] = {
     "model": _model_case,
     "kernel": _kernel_case,
     "backend": _backend_case,
     "runtime": _runtime_case,
     "counting": _counting_case,
+    "stack": _stack_case,
 }
 
 
@@ -391,6 +414,64 @@ def build_network(case: Case) -> DynamicGraph:
     raise ValueError(f"cannot build a network for case kind {kind!r}")
 
 
+def isolate_node(
+    u: np.ndarray, v: np.ndarray, node: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, v)`` without the edges incident to ``node``."""
+    keep = (u != node) & (v != node)
+    return u[keep], v[keep]
+
+
+@dataclass(frozen=True)
+class LaneStack:
+    """The lanes of a stack-suite case, ready to stack round by round.
+
+    Attributes:
+        sizes: Node count per lane.
+        networks: One dynamic graph per lane.
+        cut: ``lane -> node`` the case isolates in every round, so
+            exactly these lanes are disconnected.
+    """
+
+    sizes: tuple[int, ...]
+    networks: tuple[DynamicGraph, ...]
+    cut: Mapping[int, int]
+
+    def edges(self, round_no: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every lane's validated edge arrays at ``round_no``, cuts made."""
+        edges = [network.edges(round_no) for network in self.networks]
+        for lane, node in self.cut.items():
+            edges[lane] = isolate_node(*edges[lane], node)
+        return edges
+
+
+def build_stack(case: Case) -> LaneStack:
+    """Materialise a stack-suite case: lane sizes, networks and cuts.
+
+    Multi-node lanes come from the case's family, one-node lanes from
+    the memoryless family (the only one defined at ``n = 1``).  Each
+    cut isolates the first, the last or a middle node of its lane, so
+    the node a lane is entered or left through gets cut too.
+    """
+    params = case.params
+    rng = random.Random(f"verify:stack:{case.seed}")
+    sizes = [rng.randint(2, params["n"]) for _ in range(params["lanes"])]
+    for _ in range(params.get("singletons", 0)):
+        sizes.insert(rng.randint(0, len(sizes)), 1)
+    networks = []
+    for lane, size in enumerate(sizes):
+        family = params["family"] if size > 1 else "arbitrary"
+        lane_case = Case("stack", family, case.seed + lane, {"n": size})
+        networks.append(build_network(lane_case))
+    multi = [lane for lane, size in enumerate(sizes) if size > 1]
+    cut_lanes = rng.sample(multi, min(params.get("cut", 0), len(multi)))
+    cut = {
+        lane: rng.choice([0, sizes[lane] - 1, rng.randrange(sizes[lane])])
+        for lane in sorted(cut_lanes)
+    }
+    return LaneStack(tuple(sizes), tuple(networks), cut)
+
+
 # -- the shrinker -----------------------------------------------------
 
 #: Lower bounds for integer parameters, by name.  Kind-specific bounds
@@ -412,6 +493,12 @@ _INT_MINS: dict[tuple[str | None, str], int] = {
     (None, "lanes"): 1,
     (None, "max_lane_nodes"): 1,
     (None, "supervisors"): 1,
+    # A stack case keeps two multi-node lanes: the smallest stack with
+    # a lane boundary whose lanes can be disconnected at all.
+    ("multi-lane", "lanes"): 2,
+    ("multi-lane", "n"): 2,
+    (None, "singletons"): 0,
+    (None, "cut"): 0,
 }
 
 

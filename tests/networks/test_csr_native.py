@@ -17,16 +17,22 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.adversaries.worst_case import worst_case_pd2_network
-from repro.core.counting.flooding import flood_time_via_protocol
+from repro.core.counting.flooding import (
+    flood_time_via_protocol,
+    flood_times_batch,
+)
 from repro.core.counting.gossip import gossip_size_estimates
 from repro.networks import CSRDynamicGraph, precompile_schedule
 from repro.networks.csr import (
     csr_from_edges,
     edge_keys,
+    first_disconnected_lane,
     graph_from_edges,
     index_dtype_for,
+    lanes_connected,
     lower_graph,
     stack_edges,
 )
@@ -40,6 +46,7 @@ from repro.networks.generators.random_dynamic import (
 from repro.networks.generators.t_interval import t_interval_network
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.errors import TopologyError
+from repro.verify.strategies import isolate_node
 
 
 def ring_provider(n):
@@ -262,14 +269,44 @@ def block_diag_reference(sizes, edges):
     return sp.block_diag(per_lane, format="csr")
 
 
+def int64_key_reference(sizes, edges):
+    """The stack-wide ``int64``-key build that lane-local keys replace.
+
+    Every edge of every lane, shifted onto the stacked node axis, keyed
+    as ``row * total + col`` in ``int64`` and deduplicated by
+    ``np.unique``; returns ``(indptr, indices)`` as ``int64``.
+    """
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    total = int(offsets[-1])
+    u = np.concatenate(
+        [np.asarray(u, np.int64) + at for (u, _), at in zip(edges, offsets)]
+    )
+    v = np.concatenate(
+        [np.asarray(v, np.int64) + at for (_, v), at in zip(edges, offsets)]
+    )
+    keys = np.unique(np.concatenate((u * total + v, v * total + u)))
+    rows = keys // total
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=total))))
+    return indptr, keys - rows * total
+
+
+def assert_matches_int64_reference(sizes, edges):
+    adjacency = stack_edges(sizes, edges)
+    stacked = adjacency.matrix
+    indptr, indices = int64_key_reference(sizes, edges)
+    assert np.array_equal(stacked.indptr, indptr)
+    assert np.array_equal(stacked.indices, indices)
+    dtype = index_dtype_for(max(sum(sizes), indices.size))
+    assert stacked.indptr.dtype == stacked.indices.dtype == dtype
+    assert np.all(stacked.data == 1.0)
+    return adjacency
+
+
 def assert_matches_reference(sizes, edges):
-    stacked = stack_edges(sizes, edges).matrix
+    stacked = assert_matches_int64_reference(sizes, edges).matrix
     reference = block_diag_reference(sizes, edges)
     assert np.array_equal(stacked.indptr, reference.indptr)
     assert np.array_equal(stacked.indices, reference.indices)
-    dtype = index_dtype_for(max(sum(sizes), reference.nnz))
-    assert stacked.indptr.dtype == stacked.indices.dtype == dtype
-    assert np.all(stacked.data == 1.0)
 
 
 class TestStackedBuild:
@@ -329,6 +366,175 @@ class TestStackedBuild:
             edge_keys(largest + 1, rows, cols)
         with pytest.raises(ValueError, match="overflows the int64"):
             edge_keys(2**32, rows, cols)
+
+
+def doubled(edges):
+    """Every edge once more in each orientation."""
+    u, v = edges
+    return np.concatenate([u, v, u]), np.concatenate([v, u, v])
+
+
+def tree_lanes(sizes, seed, extra_edge_p=0.0):
+    return [
+        RandomConnectedAdversary(
+            n, seed=seed + lane, extra_edge_p=extra_edge_p
+        ).edges(0)
+        for lane, n in enumerate(sizes)
+    ]
+
+
+class TestLaneLocalKeys:
+    """Stacks past 46340 nodes key each lane in its own ``n * n`` space."""
+
+    @pytest.mark.parametrize("n", [46340, 46341])
+    def test_key_dtype_boundary(self, n):
+        rows, cols = np.array([n - 1, 0]), np.array([n - 2, n - 1])
+        keys = edge_keys(n, rows, cols)
+        assert keys.dtype == (np.int32 if n == 46340 else np.int64)
+        assert keys.tolist() == [n * n - 2, n - 1]
+
+    @pytest.mark.parametrize("n", [46340, 46341])
+    def test_lanes_either_side_of_the_boundary(self, n):
+        # A path plus its long chord, doubled: the largest key in use is
+        # (n-1)*n + (n-2), one below the key space.
+        u = np.concatenate((np.arange(n - 1), [0]))
+        v = np.concatenate((np.arange(1, n), [n - 1]))
+        edges = doubled((u, v))
+        assert_matches_int64_reference([n], [edges])
+        assert_matches_int64_reference(
+            [3, n, 1], [ring_provider(3)(0), edges, (u[:0], v[:0])]
+        )
+
+    def test_every_family_with_a_lane_past_the_boundary(self):
+        networks = list(family_networks(7).values())
+        sizes = [network.n for network in networks] + [46341]
+        for round_no in range(3):
+            edges = [network.edges(round_no) for network in networks]
+            edges.append(tree_lanes([46341], seed=round_no)[0])
+            assert_matches_int64_reference(sizes, edges)
+
+    def test_mixed_sizes_duplicates_and_singletons(self):
+        sizes = [1, 23_000, 1, 7, 24_000, 2, 1]
+        rng = np.random.default_rng(11)
+        edges = []
+        for n, (u, v) in zip(sizes, tree_lanes(sizes, 11)):
+            # Random chords on top of the tree, then everything doubled.
+            a, b = rng.integers(0, n, size=(2, n // 10))
+            chord = a != b
+            u = np.concatenate((u, a[chord])).astype(np.int32)
+            v = np.concatenate((v, b[chord])).astype(np.int32)
+            edges.append(doubled((u, v)))
+        stacked = assert_matches_int64_reference(sizes, edges)
+        assert stacked.connected is True
+        assert stacked.edges == sum(
+            nx.number_of_edges(graph_from_edges(n, *lane))
+            for n, lane in zip(sizes, edges)
+        )
+
+
+class TestBridgedConnectivity:
+    """One traversal over the stack plus node 0's bridges to every lane."""
+
+    @staticmethod
+    def _stack_64x5(seed):
+        rng = np.random.default_rng(seed)
+        sizes = [5] * 64
+        edges = tree_lanes(sizes, seed, extra_edge_p=0.3)
+        cut = rng.choice(64, size=rng.integers(0, 4), replace=False)
+        for lane in cut.tolist():
+            edges[lane] = isolate_node(*edges[lane], int(rng.integers(0, 5)))
+        return sizes, edges, sorted(cut.tolist())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_verdict_equals_component_count_on_64x5_stacks(self, seed):
+        sizes, edges, cut = self._stack_64x5(seed)
+        stacked = stack_edges(sizes, edges)
+        components = connected_components(
+            stacked.matrix, directed=False, return_labels=False
+        )
+        expected = components == len(sizes)
+        assert expected == (not cut)
+        assert stacked.connected is expected
+        if cut:
+            assert first_disconnected_lane(stacked, sizes) == cut[0]
+
+    @pytest.mark.parametrize("node", ["first", "last"])
+    @pytest.mark.parametrize("lane", [0, 1, 2])
+    def test_cut_at_the_bridge_ends(self, lane, node):
+        # The node a bridge enters a lane by (first; node 0, which
+        # every bridge leaves, in lane 0) or the lane's far end (last).
+        sizes = [6, 6, 6]
+        edges = tree_lanes(sizes, 3)
+        edges[lane] = isolate_node(*edges[lane], 0 if node == "first" else 5)
+        stacked = stack_edges(sizes, edges)
+        assert stacked.connected is False
+        assert first_disconnected_lane(stacked, sizes) == lane
+
+    def test_empty_and_singleton_lanes(self):
+        sizes = [0, 1, 4, 0, 0, 1, 3, 0]
+        edges = [
+            RandomConnectedAdversary(n, seed=n).edges(0) if n else
+            (np.zeros(0, np.int32), np.zeros(0, np.int32))
+            for n in sizes
+        ]
+        stacked = stack_edges(sizes, edges)
+        assert stacked.connected is True
+        edges[6] = isolate_node(*edges[6], 2)
+        stacked = stack_edges(sizes, edges)
+        assert stacked.connected is False
+        assert first_disconnected_lane(stacked, sizes) == 6
+
+    def test_bridges_stay_out_of_the_matrix(self):
+        sizes = [64] * 3
+        edges = tree_lanes(sizes, 5)
+        stacked = stack_edges(sizes, edges)
+        before = stacked.matrix.indices.copy(), stacked.matrix.indptr.copy()
+        assert lanes_connected(stacked.matrix, sizes) is True
+        assert stacked.connected is True
+        assert stacked.edges == sum(n - 1 for n in sizes)
+        assert np.array_equal(stacked.matrix.indices, before[0])
+        assert np.array_equal(stacked.matrix.indptr, before[1])
+
+    def test_int64_pattern(self):
+        # The bridged copy keeps one index dtype for scipy's traversal.
+        sizes = [5, 1, 5]
+        stacked = stack_edges(sizes, tree_lanes(sizes, 2))
+        wide = sp.csr_array(
+            (
+                stacked.matrix.data,
+                stacked.matrix.indices.astype(np.int64),
+                stacked.matrix.indptr.astype(np.int64),
+            ),
+            shape=stacked.matrix.shape,
+        )
+        assert wide.indices.dtype == np.int64
+        assert lanes_connected(wide, sizes) is True
+
+
+class TestDisconnectedLaneMessage:
+    """The engine's TopologyError names the disconnected lane."""
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_first_middle_or_last_lane(self, bad):
+        n = 6
+
+        def ring(round_no):
+            return ring_provider(n)(round_no)
+
+        def broken(round_no):
+            edges = ring(round_no)
+            return isolate_node(*edges, n - 1) if round_no == 1 else edges
+
+        jobs = [
+            (CSRDynamicGraph(n, broken if lane == bad else ring), 0)
+            for lane in range(5)
+        ]
+        with pytest.raises(
+            TopologyError,
+            match=rf"^round 1: lane {bad} graph is disconnected but "
+            r"1-interval connectivity is required$",
+        ):
+            flood_times_batch(jobs)
 
 
 class TestReferenceCycles:

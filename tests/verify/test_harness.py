@@ -44,6 +44,7 @@ class TestRunVerify:
             "backend",
             "runtime",
             "counting",
+            "stack",
         ]
 
     def test_counters_maintained(self, tmp_path):

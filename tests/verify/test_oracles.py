@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.networks.csr import first_disconnected_lane, stack_edges
 from repro.verify import mutation
-from repro.verify.oracles import check_kernel_case, check_model_case
-from repro.verify.strategies import Case, generate_cases
+from repro.verify.harness import run_verify
+from repro.verify.oracles import (
+    check_kernel_case,
+    check_model_case,
+    check_stack_case,
+)
+from repro.verify.strategies import (
+    Case,
+    build_stack,
+    generate_cases,
+    shrink_candidates,
+)
 
 
 class TestModelOracle:
@@ -64,6 +75,65 @@ class TestKernelOracle:
         with mutation.armed("kernel-sign-flip"):
             case = Case("kernel", "kernel-identities", 0, {"r": 1, "n": 2})
             assert any("M_1" in v for v in check_kernel_case(case))
+
+
+class TestStackOracle:
+    def test_generated_cases_pass(self):
+        cases = generate_cases("stack", 30, 0)
+        assert any(case.params["cut"] for case in cases)
+        for case in cases:
+            assert check_stack_case(case) == []
+
+    def test_cut_lanes_are_disconnected(self):
+        case = Case(
+            "stack",
+            "multi-lane",
+            4,
+            {"family": "arbitrary", "lanes": 5, "n": 6, "singletons": 2,
+             "cut": 2, "rounds": 2},
+        )
+        stack = build_stack(case)
+        assert len(stack.sizes) == 7 and stack.sizes.count(1) >= 2
+        assert len(stack.cut) == 2
+        stacked = stack_edges(stack.sizes, stack.edges(0))
+        assert stacked.connected is False
+        assert first_disconnected_lane(stacked, stack.sizes) == min(stack.cut)
+        assert check_stack_case(case) == []
+
+    def test_lane_disconnect_mutant_names_its_lane(self):
+        case = Case(
+            "stack",
+            "multi-lane",
+            9,
+            {"family": "markov", "lanes": 4, "n": 8, "singletons": 1,
+             "cut": 0, "rounds": 1},
+        )
+        stack = build_stack(case)
+        last = max(lane for lane, n in enumerate(stack.sizes) if n > 1)
+        with mutation.armed("stack-lane-disconnect"):
+            edges = mutation.mutated_lanes(stack.sizes, stack.edges(0))
+            violations = check_stack_case(case)
+        stacked = stack_edges(stack.sizes, edges)
+        assert stacked.connected is False
+        assert first_disconnected_lane(stacked, stack.sizes) == last
+        assert violations == [
+            f"round 0: lane {last} of sizes {list(stack.sizes)} is "
+            f"disconnected (all disconnected: [{last}]), but the case cut "
+            "lanes []"
+        ]
+
+    def test_mutant_shrinks_to_the_two_lane_minimum(self, tmp_path):
+        with mutation.armed("stack-lane-disconnect"):
+            report = run_verify(
+                fuzz=2, seed=0, suites=["stack"], fixtures_dir=tmp_path
+            )
+        violation = report.suites["stack"].violations[0]
+        shrunk = violation.shrunk.params
+        assert {key: shrunk[key] for key in shrunk if key != "family"} == {
+            "lanes": 2, "n": 2, "singletons": 0, "cut": 0, "rounds": 1,
+        }
+        assert not list(shrink_candidates(violation.shrunk))
+        assert "lane 1 of sizes [2, 2] is disconnected" in violation.messages[0]
 
 
 class TestMutationRegistry:
